@@ -55,7 +55,7 @@ from .training import (
 )
 from .volume import PhantomSpec, generate_phantom, read_volume, write_volume
 
-SEED_STREAMS = ("data", "init", "augment", "bootstrap")
+SEED_STREAMS = ("data", "init", "bootstrap")
 
 PREDICTIONS_HEADER = ["patient_id", "eye_id", "p_kc", "pred", "fold"]
 TABLE2_HEADER = ["model", "dim", "params", "mse", "mae", "r2", "pearson",
@@ -93,9 +93,9 @@ class UsageError(Exception):
 
 
 def derive_seed(master, stream):
-    """Named sub-stream of the master seed (data, init, augment,
-    bootstrap): toggling one stage never perturbs the randomness of
-    another."""
+    """Named sub-stream of the master seed (data, init, bootstrap): each
+    stream name is hashed on its own, so toggling one stage never perturbs
+    the randomness of another."""
     ss = np.random.SeedSequence([int(master)] + [ord(c) for c in stream])
     return int(ss.generate_state(1)[0])
 
@@ -414,6 +414,20 @@ def cmd_train(args):
 # analysis
 
 
+def _read_run_config(path):
+    """A training run's resolved config and its ModelConfig. A missing key
+    or a malformed model block is a data error."""
+    run_cfg = _read_json(path, "resolved config")
+    missing = [k for k in ("name", "seed", "model", "manifest")
+               if k not in run_cfg]
+    if missing:
+        raise DataError(f"{path} lacks {missing}")
+    try:
+        return run_cfg, ModelConfig(**run_cfg["model"])
+    except TypeError as err:
+        raise DataError(f"{path}: bad model block: {err}") from err
+
+
 def _load_run_model(ckpt_path):
     """Rebuild the architecture from the resolved config beside the
     checkpoint, then load the weights. Returns (model, run config)."""
@@ -423,8 +437,7 @@ def _load_run_model(ckpt_path):
         raise DataError(f"no {RESOLVED_CONFIG} beside checkpoint "
                         f"{ckpt_path}; analyze needs the training run "
                         f"directory")
-    run_cfg = _read_json(sidecar, "resolved config")
-    model_cfg = ModelConfig(**run_cfg["model"])
+    run_cfg, model_cfg = _read_run_config(sidecar)
     model = build_model(model_cfg, seed=0)
     model.load(ckpt_path)
     return model, run_cfg
@@ -665,11 +678,10 @@ def cmd_report(args):
             header2 += [f"{key}_lo", f"{key}_hi"]
     rows2, rows3, rows_rel = [], [], []
     for run in runs:
-        run_cfg = _read_json(os.path.join(run, RESOLVED_CONFIG),
-                             "resolved config")
+        run_cfg, model_cfg = _read_run_config(
+            os.path.join(run, RESOLVED_CONFIG))
         pred, target, _ = read_predictions(
             os.path.join(run, POOLED_PREDICTIONS))
-        model_cfg = ModelConfig(**run_cfg["model"])
         name, dim = run_cfg["name"], model_cfg.input_dims
         params = build_model(model_cfg, seed=0).param_count()
         metrics, reliability = evaluate_pooled(pred, target)

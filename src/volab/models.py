@@ -611,19 +611,18 @@ class ModelInstance:
 
         meta = {"epoch": int(scalar("meta.epoch")),
                 "val_mse": scalar("meta.val_mse")}
-        params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
+        state = self.state_arrays()
+        missing = sorted(set(state) - set(arrays))
+        if missing:
+            raise ShapeError(f"checkpoint lacks {missing}")
         for name, arr in arrays.items():
-            if name in params:
-                target = params[name]
-                if target.shape != arr.shape:
-                    raise ShapeError(f"checkpoint shape {arr.shape} does not "
-                                     f"match parameter {name} {target.shape}")
-                target.data[...] = arr.astype(target.data.dtype)
-            elif name in buffers:
-                buffers[name][...] = arr.astype(buffers[name].dtype)
-            else:
+            if name not in state:
                 raise ShapeError(f"checkpoint entry {name!r} not in model")
+            target = state[name]
+            if target.shape != arr.shape:
+                raise ShapeError(f"checkpoint shape {arr.shape} does not "
+                                 f"match {name} {target.shape}")
+            target[...] = arr.astype(target.dtype)
         return meta
 
 

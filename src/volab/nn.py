@@ -275,8 +275,13 @@ def shift_window_mask(grid, window, shift, dtype=np.float32):
                     np.asarray(-1e9, dtype))
 
 
-def relative_position_index(window):
-    """Flat lookup index (L, L) into a (prod(2w-1), heads) bias table."""
+def relative_position_index(window, radix=None):
+    """Flat lookup index (L, L) into a (prod(2r-1), heads) bias table.
+
+    ``radix`` is the window the table was sized for (default ``window``);
+    a window clamped below it indexes into the full table's radix system.
+    """
+    radix = window if radix is None else radix
     nd = len(window)
     axes = [np.arange(w) for w in window]
     coords = np.stack(np.meshgrid(*axes, indexing="ij"))
@@ -284,7 +289,7 @@ def relative_position_index(window):
     rel = flat[:, :, None] - flat[:, None, :]
     index = np.zeros(rel.shape[1:], dtype=np.int64)
     for a in range(nd):
-        index = index * (2 * window[a] - 1) + (rel[a] + window[a] - 1)
+        index = index * (2 * radix[a] - 1) + (rel[a] + radix[a] - 1)
     return index
 
 
@@ -396,20 +401,7 @@ class SwinBlock(Module):
         return window, shift
 
     def _bias(self, window):
-        if window == self.window:
-            index = relative_position_index(window)
-        else:
-            # clamped window: index into the full table, whose radix system
-            # is keyed to the configured (unclamped) window extents
-            nd = len(window)
-            axes = [np.arange(w) for w in window]
-            coords = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(nd,
-                                                                         -1)
-            rel = coords[:, :, None] - coords[:, None, :]
-            index = np.zeros(rel.shape[1:], dtype=np.int64)
-            for a in range(nd):
-                index = (index * (2 * self.window[a] - 1)
-                         + (rel[a] + self.window[a] - 1))
+        index = relative_position_index(window, radix=self.window)
         l = index.shape[0]
         rows = take(self.rel_bias, index.reshape(-1))
         rows = reshape(rows, (l, l, self.n_heads))

@@ -14,6 +14,8 @@ import weakref
 import numpy as np
 from scipy.special import erf as _erf
 
+from .labels import DataError
+
 DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -85,9 +87,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def backward(self):
         backward(self)
 
@@ -153,34 +152,25 @@ class Tensor:
         return tanh(self)
 
 
-class Tape:
-    """Primitive applications reachable from an output, in topological order."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    def __len__(self):
-        return len(self.nodes)
-
-    @classmethod
-    def trace(cls, output: Tensor) -> "Tape":
-        nodes = []
-        seen = set()
-        # iterative post-order DFS over tensors that carry a node
-        stack = [(output, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t.node is None or id(t) in seen:
-                continue
-            if expanded:
-                seen.add(id(t))
-                nodes.append(t.node)
-            else:
-                stack.append((t, True))
-                for parent in t.node.inputs:
-                    if parent.node is not None and id(parent) not in seen:
-                        stack.append((parent, False))
-        return cls(nodes)
+def _topological_order(output):
+    """Nodes reachable from ``output``, each after every node it consumes."""
+    nodes = []
+    seen = set()
+    # iterative post-order DFS over tensors that carry a node
+    stack = [(output, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if t.node is None or id(t) in seen:
+            continue
+        if expanded:
+            seen.add(id(t))
+            nodes.append(t.node)
+        else:
+            stack.append((t, True))
+            for parent in t.node.inputs:
+                if parent.node is not None and id(parent) not in seen:
+                    stack.append((parent, False))
+    return nodes
 
 
 def backward(output: Tensor) -> None:
@@ -205,8 +195,7 @@ def backward(output: Tensor) -> None:
     if output.node is None:
         _leaf_accumulate(output, grads[id(output)])
         return
-    tape = Tape.trace(output)
-    for node in reversed(tape.nodes):
+    for node in reversed(_topological_order(output)):
         g = grads.pop(id(node.output), None)
         holders.pop(id(node.output), None)
         if g is None:
@@ -607,6 +596,31 @@ def _triple(v, name):
     return t
 
 
+def _gather_windows(x, window, stride):
+    """Every stride-spaced window of the NCDHW array ``x`` as one contiguous
+    (n, c, kd, kh, kw, do, ho, wo) buffer."""
+    view = np.lib.stride_tricks.sliding_window_view(x, window, axis=(2, 3, 4))
+    sd, sh, sw = stride
+    view = view[:, :, ::sd, ::sh, ::sw]
+    return np.ascontiguousarray(view.transpose(0, 1, 5, 6, 7, 2, 3, 4))
+
+
+def _scatter_windows(gx, gcols, stride):
+    """Adjoint of ``_gather_windows``: add the window gradients ``gcols``
+    (n, c, kd, kh, kw, do, ho, wo) onto ``gx`` in place, one kernel offset
+    at a time, so overlapping windows accumulate in a fixed order."""
+    kd, kh, kw, do, ho, wo = gcols.shape[2:]
+    sd, sh, sw = stride
+    for i in range(kd):
+        for j in range(kh):
+            for k in range(kw):
+                gx[:, :,
+                   i:i + do * sd:sd,
+                   j:j + ho * sh:sh,
+                   k:k + wo * sw:sw] += gcols[:, :, i, j, k]
+    return gx
+
+
 def conv3d(x, w, bias=None, stride=1, padding=0):
     """3-D cross-correlation on NCDHW input with OIKdKhKw kernels.
 
@@ -622,23 +636,12 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
     if ci != c:
         raise ShapeError(f"conv3d: input has {c} channels, kernel expects {ci}")
     pd, ph, pw = padding
-    sd, sh, sw = stride
-    dp, hp, wp = d + 2 * pd, h + 2 * ph, wd + 2 * pw
-    if kd > dp or kh > hp or kw > wp:
+    if kd > d + 2 * pd or kh > h + 2 * ph or kw > wd + 2 * pw:
         raise ShapeError("conv3d: kernel larger than padded input")
-    do = (dp - kd) // sd + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kd, kh, kw, do, ho, wo), dtype=x.data.dtype)
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                cols[:, :, i, j, k] = xp[:, :,
-                                         i:i + do * sd:sd,
-                                         j:j + ho * sh:sh,
-                                         k:k + wo * sw:sw]
+    cols = _gather_windows(xp, (kd, kh, kw), stride)
+    do, ho, wo = cols.shape[5:]
     cols_mat = cols.reshape(n, c * kd * kh * kw, do * ho * wo)
     w_mat = w.data.reshape(o, c * kd * kh * kw)
     out = np.matmul(w_mat[None], cols_mat).reshape(n, o, do, ho, wo)
@@ -651,18 +654,10 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
         g_mat = g.reshape(n, o, do * ho * wo)
         gw = np.einsum("nol,nkl->ok", g_mat, cols_mat).reshape(w.shape)
         gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols.shape)
-        gxp = np.zeros_like(xp)
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    gxp[:, :,
-                        i:i + do * sd:sd,
-                        j:j + ho * sh:sh,
-                        k:k + wo * sw:sw] += gcols[:, :, i, j, k]
+        gxp = _scatter_windows(np.zeros_like(xp), gcols, stride)
         gx = gxp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd]
-        gb = g.sum(axis=(0, 2, 3, 4)) if bias is not None else None
         if bias is not None:
-            return gx, gw, gb
+            return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw
 
     inputs = (x, w) if bias is None else (x, w, bias)
@@ -692,24 +687,13 @@ def pool3d(x, kind="max", window=2, stride=None):
     stride = window if stride is None else _triple(stride, "stride")
     if x.ndim != 5:
         raise ShapeError("pool3d expects (N,C,D,H,W) input")
-    n, c, d, h, w = x.shape
-    wd, wh, ww = window
-    sd, sh, sw = stride
-    if wd > d or wh > h or ww > w:
+    n, c = x.shape[:2]
+    if any(k > s for k, s in zip(window, x.shape[2:])):
         raise ShapeError("pool3d: window larger than input")
-    do = (d - wd) // sd + 1
-    ho = (h - wh) // sh + 1
-    wo = (w - ww) // sw + 1
 
-    cols = np.empty((n, c, wd, wh, ww, do, ho, wo), dtype=x.data.dtype)
-    for i in range(wd):
-        for j in range(wh):
-            for k in range(ww):
-                cols[:, :, i, j, k] = x.data[:, :,
-                                             i:i + do * sd:sd,
-                                             j:j + ho * sh:sh,
-                                             k:k + wo * sw:sw]
-    flat = cols.reshape(n, c, wd * wh * ww, do, ho, wo)
+    cols = _gather_windows(x.data, window, stride)
+    count = window[0] * window[1] * window[2]
+    flat = cols.reshape((n, c, count) + cols.shape[5:])
 
     if kind == "max":
         arg = flat.argmax(axis=2)
@@ -718,32 +702,16 @@ def pool3d(x, kind="max", window=2, stride=None):
         def vjp(g):
             gflat = np.zeros_like(flat)
             np.put_along_axis(gflat, arg[:, :, None], g[:, :, None], axis=2)
-            gcols = gflat.reshape(cols.shape)
-            gx = np.zeros_like(x.data)
-            for i in range(wd):
-                for j in range(wh):
-                    for k in range(ww):
-                        gx[:, :,
-                           i:i + do * sd:sd,
-                           j:j + ho * sh:sh,
-                           k:k + wo * sw:sw] += gcols[:, :, i, j, k]
-            return (gx,)
+            return (_scatter_windows(np.zeros_like(x.data),
+                                     gflat.reshape(cols.shape), stride),)
 
     else:
-        count = wd * wh * ww
         out = flat.mean(axis=2)
+        shape = cols.shape  # the closure keeps the shape, not the buffer
 
         def vjp(g):
-            share = g / count
-            gx = np.zeros_like(x.data)
-            for i in range(wd):
-                for j in range(wh):
-                    for k in range(ww):
-                        gx[:, :,
-                           i:i + do * sd:sd,
-                           j:j + ho * sh:sh,
-                           k:k + wo * sw:sw] += share
-            return (gx,)
+            share = np.broadcast_to((g / count)[:, :, None, None, None], shape)
+            return (_scatter_windows(np.zeros_like(x.data), share, stride),)
 
     return _make("pool3d", out, (x,), vjp)
 
@@ -762,26 +730,6 @@ def pool2d(x, kind="max", window=2, stride=None):
     out = pool3d(x3, kind=kind, window=(1,) + tuple(window),
                  stride=(1,) + tuple(stride))
     return reshape(out, (out.shape[0], out.shape[1]) + out.shape[3:])
-
-
-# named registry of the engine's differentiable primitives
-PRIMITIVES = {
-    "add": add,
-    "mul": mul,
-    "matmul": matmul,
-    "softmax": softmax,
-    "layer_norm": layer_norm,
-    "relu": relu,
-    "gelu": gelu,
-    "reshape": reshape,
-    "transpose": transpose,
-    "concat": concat,
-    "slice": narrow,
-    "mean": mean,
-    "batch_norm": batch_norm,
-    "conv3d": conv3d,
-    "pool3d": pool3d,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -857,28 +805,42 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into an ordered {name: float32 array} dict."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint back into an ordered {name: float32 array} dict.
+    A missing, truncated or malformed file raises DataError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise DataError(f"cannot read checkpoint {path}: {err}") from err
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+        raise DataError(f"{path}: bad checkpoint magic {blob[:4]!r}")
     off = 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(nbytes):
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise DataError(f"{path}: truncated checkpoint")
+        off += nbytes
+        return off - nbytes
+
+    def take_u32s(count):
+        return struct.unpack_from(f"<{count}I", blob, take(4 * count))
+
+    (count,) = take_u32s(1)
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        size = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
-        off += 4 * size
+        (name_len,) = take_u32s(1)
+        start = take(name_len)
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: bad parameter name: {err}") from err
+        (rank,) = take_u32s(1)
+        shape = take_u32s(rank)
+        size = int(np.prod(shape, dtype=np.int64))
+        arr = np.frombuffer(blob, dtype="<f4", count=size,
+                            offset=take(4 * size)).reshape(shape)
         params[name] = arr.copy()
     if off != len(blob):
-        raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
+        raise DataError(f"{path}: {len(blob) - off} trailing bytes")
     return params

@@ -5,7 +5,6 @@ cross-validation."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +14,7 @@ import numpy as np
 
 from .labels import stratified_patient_split
 from .models import build_model
-from .tensor import NumericError, Tensor, backward, mean, mul, sub, tsum
+from .tensor import NumericError, Tensor, backward, mul, sub, tsum
 from .volume import crop_or_pad, extract_bscan, read_volume, zscore
 
 
@@ -35,37 +34,27 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(self.betas))
-        for name in ("lr_max", "lr_min", "weight_decay", "eps",
-                     "physical_batch", "accumulation_steps", "max_epochs",
-                     "min_delta"):
+        for name in ("lr_max", "lr_min", "weight_decay", "eps", "min_delta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("physical_batch", "accumulation_steps", "max_epochs",
+                     "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
             raise ValueError("betas must lie in [0, 1)")
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
-
-def mse_loss(pred, target):
-    """Mean squared error as a differentiable scalar."""
-    if not isinstance(pred, Tensor):
-        pred = Tensor(np.asarray(pred))
-    if not isinstance(target, Tensor):
-        target = Tensor(np.asarray(target, dtype=pred.data.dtype))
+def _sse(pred, target):
+    """Sum of squared errors as a differentiable scalar; ``train_fold``
+    scales it by the accumulation group's sample count."""
     if pred.shape != target.shape:
         raise ValueError(f"length mismatch: pred {pred.shape} vs target "
                          f"{target.shape}")
     if pred.size == 0:
         raise ValueError("empty prediction vector")
     diff = sub(pred, target)
-    return mean(mul(diff, diff))
+    return tsum(mul(diff, diff))
 
 
 def cosine_lr(step, total_steps, lr_max, lr_min):
@@ -236,8 +225,7 @@ def train_fold(model, train_samples, val_samples, cfg):
                 x, y = _stack(train_samples, micro)
                 try:
                     res = model.forward(Tensor(x), training=True, rng=rng)
-                    diff = sub(res.pred, Tensor(y))
-                    sse = tsum(mul(diff, diff))
+                    sse = _sse(res.pred, Tensor(y))
                     backward(mul(sse, Tensor(np.asarray(
                         scale, dtype=sse.data.dtype))))
                 except NumericError as exc:
@@ -260,13 +248,9 @@ def train_fold(model, train_samples, val_samples, cfg):
                           for k, v in model.state_arrays().items()}
         if stopper.update(val_mse):
             break
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
+    state = model.state_arrays()
     for name, arr in best_state.items():
-        if name in params:
-            params[name].data[...] = arr
-        else:
-            buffers[name][...] = arr
+        state[name][...] = arr
     return FoldResult(best_epoch=best_epoch, best_val_mse=best_val,
                       history=history)
 
@@ -346,6 +330,6 @@ def cross_validate(records, samples, model_cfg, train_cfg, n_folds=5,
 __all__ = [
     "AdamW", "CrossValResult", "EarlyStopper", "FoldResult",
     "HISTORY_HEADER", "Sample", "TrainConfig", "cosine_lr", "cross_validate",
-    "make_input", "mse_loss", "predict", "samples_from_records",
+    "make_input", "predict", "samples_from_records",
     "train_fold",
 ]

@@ -1,4 +1,4 @@
-"""Volumetric preprocessing, augmentation, phantom synthesis, and VOLB files.
+"""Volumetric preprocessing, phantom synthesis, and VOLB files.
 
 Volumes are float32 arrays with per-axis physical spacing in millimeters.
 Physical position of voxel index i along an axis is i * spacing (voxel
@@ -133,12 +133,6 @@ def zscore(volume: Volume, eps=1e-8) -> Volume:
     return Volume((volume.data - mu) / sd, volume.spacing)
 
 
-def slice_index_for_angle(angle_deg: float, n_slices: int) -> int:
-    """Radial-scan convention: slice k sits at k * 360 / n_slices degrees."""
-    step = 360.0 / n_slices
-    return int(round((angle_deg % 360.0) / step)) % n_slices
-
-
 def _resize_bilinear_2d(img, target_hw):
     th, tw = target_hw
     h, w = img.shape
@@ -159,104 +153,6 @@ def extract_bscan(volume: Volume, slice_index: int, target_hw=(224, 224)):
     if tuple(target_hw) == img.shape:
         return img.astype(np.float32)
     return _resize_bilinear_2d(img, target_hw).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-@dataclass
-class AugmentConfig:
-    flip_prob: float = 0.5          # per in-plane axis
-    max_rotation_deg: float = 15.0  # per axis, uniform in +-max
-    elastic: bool = True
-    elastic_grid_spacing: int = 10  # voxels between coarse nodes
-    elastic_sigma: float = 10.0     # Gaussian smoothing, in voxels
-    elastic_alpha: float = 1.0      # displacement scale, in voxels
-
-
-def flip_volume(volume: Volume, axes) -> Volume:
-    data = volume.data
-    for axis in axes:
-        data = np.flip(data, axis=axis)
-    return Volume(data.copy(), volume.spacing)
-
-
-def rotate_volume(volume: Volume, angles_deg) -> Volume:
-    """Rigid rotation about the volume center (voxel coordinates), trilinear
-    resampling, zero fill outside. Euler order: axis0, axis1, axis2."""
-    a0, a1, a2 = [np.deg2rad(a) for a in angles_deg]
-
-    def rot(axis, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        m = np.eye(3)
-        i, j = [k for k in range(3) if k != axis]
-        m[i, i], m[i, j], m[j, i], m[j, j] = c, -s, s, c
-        return m
-
-    matrix = rot(0, a0) @ rot(1, a1) @ rot(2, a2)
-    center = (np.array(volume.shape, dtype=np.float64) - 1.0) / 2.0
-    idx = np.indices(volume.shape, dtype=np.float64)
-    rel = idx.reshape(3, -1) - center[:, None]
-    src = matrix.T @ rel + center[:, None]   # pull-back sampling
-    out = ndimage.map_coordinates(volume.data.astype(np.float64),
-                                  src.reshape((3,) + volume.shape),
-                                  order=1, mode="constant", cval=0.0)
-    return Volume(out.astype(np.float32), volume.spacing)
-
-
-def _upsample_axis(field, factor, out_len):
-    # linear interpolation of coarse nodes placed every `factor` voxels
-    n = field.shape[0]
-    pos = np.arange(out_len, dtype=np.float64) / factor
-    lo = np.clip(np.floor(pos).astype(int), 0, n - 1)
-    hi = np.clip(lo + 1, 0, n - 1)
-    frac = (pos - lo).reshape((-1,) + (1,) * (field.ndim - 1))
-    return np.take(field, lo, axis=0) * (1 - frac) + np.take(field, hi, axis=0) * frac
-
-
-def elastic_displacement(shape, cfg: AugmentConfig, rng) -> np.ndarray:
-    """Coarse-grid N(0,1) displacement field, Gaussian-smoothed on the coarse
-    grid (sigma expressed in voxels), scaled by alpha, trilinearly upsampled.
-    Returns (3, d0, d1, d2) voxel displacements."""
-    g = cfg.elastic_grid_spacing
-    coarse_dims = tuple(int(np.ceil(n / g)) + 1 for n in shape)
-    raw = rng.standard_normal((3,) + coarse_dims)
-    sigma_coarse = cfg.elastic_sigma / g
-    smooth = np.stack([ndimage.gaussian_filter(raw[a], sigma_coarse, mode="nearest")
-                       for a in range(3)])
-    smooth *= cfg.elastic_alpha
-    up = []
-    for c in range(3):
-        comp = smooth[c]
-        for axis in range(3):
-            comp = np.moveaxis(
-                _upsample_axis(np.moveaxis(comp, axis, 0), g, shape[axis]), 0, axis)
-        up.append(comp)
-    return np.stack(up)
-
-
-def elastic_deform(volume: Volume, cfg: AugmentConfig, rng) -> Volume:
-    """Warp by a smooth random displacement field (edge-clamped sampling)."""
-    disp = elastic_displacement(volume.shape, cfg, rng)
-    idx = np.indices(volume.shape, dtype=np.float64)
-    out = ndimage.map_coordinates(volume.data.astype(np.float64), idx + disp,
-                                  order=1, mode="nearest")
-    return Volume(out.astype(np.float32), volume.spacing)
-
-
-def augment_volume(volume: Volume, cfg: AugmentConfig, rng) -> Volume:
-    """Training-time augmentation: in-plane flips, small rotations, elastic."""
-    out = volume
-    axes = [a for a in (1, 2) if rng.random() < cfg.flip_prob]
-    if axes:
-        out = flip_volume(out, axes)
-    if cfg.max_rotation_deg > 0:
-        angles = rng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg, size=3)
-        out = rotate_volume(out, angles)
-    if cfg.elastic:
-        out = elastic_deform(out, cfg, rng)
-    return out
 
 
 # ---------------------------------------------------------------------------

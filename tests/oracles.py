@@ -142,23 +142,6 @@ def topk_attention_distances(attn, centroids, k=5):
     return np.array(dists)
 
 
-def gaussian_smooth_direct(field, sigma, truncate=4.0):
-    """Direct convolution with a normalized truncated Gaussian, edge-replicated."""
-    radius = int(truncate * sigma + 0.5)
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    out = field.astype(np.float64)
-    for axis in range(field.ndim):
-        src = out
-        out = np.zeros_like(src)
-        n = src.shape[axis]
-        for o, kv in zip(offsets, kernel):
-            idx = np.clip(np.arange(n) + o, 0, n - 1)
-            out += kv * np.take(src, idx, axis=axis)
-    return out
-
-
 def cka_direct(x, y):
     """Centered linear CKA straight from the feature-space definition."""
     xc = x - x.mean(axis=0, keepdims=True)

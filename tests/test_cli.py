@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -224,6 +225,11 @@ class TestTrain:
         cfg["model"] = {"preset": "cnn9d"}
         bad.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bad)]) == 1
+        cfg["model"] = {"preset": "cnn3d"}
+        for count in ("max_epochs", "physical_batch", "accumulation_steps"):
+            cfg["train"] = {count: 0}
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, count
 
     def test_missing_dataset_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -494,6 +500,37 @@ class TestReport:
     def test_low_bootstrap_n_exits_one(self, workdir):
         assert cli.main(["report", "--runs", str(workdir / "runs"),
                          "--ci", "--bootstrap-n", "50"]) == 1
+
+
+class TestDamagedRun:
+    """A run directory whose files are cut short or lack keys exits 2."""
+
+    @staticmethod
+    def _analyze_erf(workdir, tmp_path, run):
+        return cli.main(["analyze", "--checkpoint", str(run / "fold0.ckpt"),
+                         "--instrument", "erf", "--manifest",
+                         str(workdir / "data" / "manifest.csv"),
+                         "--out", str(tmp_path / "out")])
+
+    def test_truncated_checkpoint_exits_two(self, workdir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        ckpt = run / "fold0.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-7])
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+
+    @pytest.mark.parametrize("key", ["model", "manifest", "name"])
+    def test_resolved_config_missing_key_exits_two(self, workdir, tmp_path,
+                                                   key):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        del cfg[key]
+        path.write_text(json.dumps(cfg))
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(tmp_path / "rep")]) == 2
 
 
 class TestHelpGolden:

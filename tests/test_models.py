@@ -23,10 +23,12 @@ from volab.tensor import (
     backward,
     concat,
     expand_batch,
+    load_checkpoint,
     matmul,
     mul,
     reshape,
     roll,
+    save_checkpoint,
     softmax,
     transpose,
 )
@@ -184,6 +186,17 @@ class TestWindowMechanics:
         assert attn.shape == (4, 2, 16, 16)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
         assert cents.shape == (4, 16, 2)
+
+    def test_relative_position_index_radix(self):
+        # unclamped windows index their own table; a clamped (2, 3) window
+        # indexes the (4, 4) table at the same relative offsets
+        full = nn.relative_position_index((4, 4))
+        assert np.array_equal(nn.relative_position_index((4, 4), (4, 4)),
+                              full)
+        assert full.max() == 7 * 7 - 1 and full.min() == 0
+        clamped = nn.relative_position_index((2, 3), radix=(4, 4))
+        keep = [r * 4 + c for r in range(2) for c in range(3)]
+        assert np.array_equal(clamped, full[np.ix_(keep, keep)])
 
     def test_window_clamps_to_small_grid(self):
         rng = _rng(6)
@@ -425,6 +438,18 @@ class TestBuildDeterminism:
         assert meta == {"epoch": 4, "val_mse": 0.125}
         after = other.forward(x).pred.data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("dropped", ["backbone.blocks.0.bn1.beta",
+                                         "backbone.stem_bn.running_var"])
+    def test_checkpoint_missing_entry_raises(self, tmp_path, dropped):
+        m = build_model(desk_config("cnn2d"), seed=3)
+        path = tmp_path / "model.ckpt"
+        m.save(str(path))
+        arrays = load_checkpoint(path)
+        del arrays[dropped]
+        save_checkpoint(path, arrays)
+        with pytest.raises(ShapeError, match=dropped):
+            build_model(desk_config("cnn2d"), seed=4).load(str(path))
 
     def test_param_count_positive_and_stable(self):
         m = build_model(desk_config("vit2d"), seed=0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import volab.tensor as T
-from volab.tensor import (NumericError, ShapeError, Tape, Tensor, backward,
-                          grad_check)
+from volab.labels import DataError
+from volab.tensor import NumericError, ShapeError, Tensor, backward, grad_check
 from oracles import attention_loops, conv3d_loops, pool3d_loops
 
 
@@ -119,11 +119,11 @@ class TestBackward:
         x = t64([1.0, 2.0])
         y = T.add(x, x)
         z = T.mul(y, y).sum()
-        tape = Tape.trace(z)
-        ids = [id(n) for n in tape.nodes]
+        nodes = T._topological_order(z)
+        ids = [id(n) for n in nodes]
         assert len(ids) == len(set(ids))
-        pos = {id(n.output): i for i, n in enumerate(tape.nodes)}
-        for i, node in enumerate(tape.nodes):
+        pos = {id(n.output): i for i, n in enumerate(nodes)}
+        for i, node in enumerate(nodes):
             for parent in node.inputs:
                 if parent.node is not None:
                     assert pos[id(parent)] < i
@@ -196,6 +196,16 @@ def _case_pool_avg(r):
     return lambda x: T.mul(T.pool3d(x, "avg", (2, 2, 1), (2, 2, 1)), c).sum(), [r.normal(size=(2, 2, 4, 4, 4))]
 
 
+def _case_pool_overlap(kind):
+    # stride < window along two axes: each input feeds several windows
+    def build(r):
+        c = _probe(r, (2, 2, 3, 2, 3))
+        return (lambda x: T.mul(T.pool3d(x, kind, (2, 2, 2), (1, 2, 1)),
+                                c).sum(),
+                [r.normal(size=(2, 2, 4, 4, 4))])
+    return build
+
+
 PRIMITIVE_CASES = [
     ("add", lambda r: (lambda a, b: T.add(a, b).sum(), [r.normal(size=(3, 4)), r.normal(size=(3, 4))])),
     ("add_suffix", lambda r: (lambda a, b: T.add(a, b).sum(), [r.normal(size=(2, 3, 4)), r.normal(size=(4,))])),
@@ -224,6 +234,8 @@ PRIMITIVE_CASES = [
     ("conv2d", lambda r: (lambda x, w: T.conv2d(x, w, stride=2, padding=1).sum(), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
     ("pool3d_max", lambda r: (lambda x: T.pool3d(x, "max", 2, 2).sum(), [r.normal(size=(2, 2, 4, 4, 4))])),
     ("pool3d_avg", _case_pool_avg),
+    ("pool3d_max_overlap", _case_pool_overlap("max")),
+    ("pool3d_avg_overlap", _case_pool_overlap("avg")),
     ("dropout_scaling", lambda r: (lambda x: T.dropout(x, 0.0, np.random.default_rng(0), training=True).sum(), [r.normal(size=(3, 3))])),
 ]
 
@@ -316,6 +328,20 @@ class TestCheckpointFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
             T.load_checkpoint(path)
+
+    def test_truncated_or_padded_file_raises_data_error(self, tmp_path):
+        path = tmp_path / "m.vlck"
+        T.save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32),
+                                 "b": np.zeros(2, dtype=np.float32)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.vlck"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                T.load_checkpoint(cut)
+        cut.write_bytes(blob + b"\x00")
+        with pytest.raises(DataError, match="trailing"):
+            T.load_checkpoint(cut)
 
     def test_save_is_deterministic(self, tmp_path):
         params = {"a": np.arange(6, dtype=np.float32).reshape(2, 3),

@@ -16,8 +16,8 @@ from volab.training import (
     TrainConfig,
     cosine_lr,
     cross_validate,
+    _sse,
     make_input,
-    mse_loss,
     predict,
     train_fold,
     Sample,
@@ -26,18 +26,20 @@ from volab.volume import PhantomSpec, generate_phantom
 
 
 class TestMseLoss:
+    """The squared-error loss ``train_fold`` minimizes; it is summed, and
+    the fold divides it by the accumulation group's sample count."""
+
     def test_equal_is_zero(self):
         v = Tensor(np.array([0.2, 0.7, 0.9], np.float64))
-        assert mse_loss(v, v.data).item() == 0.0
+        assert _sse(v, Tensor(v.data)).item() == 0.0
 
     def test_unit_error(self):
-        loss = mse_loss(Tensor(np.array([0.0, 1.0])),
-                        np.array([1.0, 0.0]))
-        assert loss.item() == 1.0
+        loss = _sse(Tensor(np.array([0.0, 1.0])), Tensor(np.array([1.0, 0.0])))
+        assert loss.item() == 2.0
 
     def test_gradient_matches_finite_differences(self):
-        target = np.array([0.1, 0.6, 0.3, 0.9])
-        err = grad_check(lambda p: mse_loss(p, target),
+        target = Tensor(np.array([0.1, 0.6, 0.3, 0.9]))
+        err = grad_check(lambda p: _sse(p, target),
                          [Tensor(np.array([0.5, 0.5, 0.5, 0.5]),
                                  requires_grad=True)])
         assert err < 1e-7
@@ -45,16 +47,16 @@ class TestMseLoss:
     def test_gradient_closed_form(self):
         pred = Tensor(np.array([0.4, 0.9]), requires_grad=True)
         target = np.array([0.0, 1.0])
-        backward(mse_loss(pred, target))
-        assert np.allclose(pred.grad, 2 * (pred.data - target) / 2)
+        backward(_sse(pred, Tensor(target)))
+        assert np.allclose(pred.grad, 2 * (pred.data - target))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mse_loss(Tensor(np.zeros(3)), np.zeros(4))
+            _sse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            mse_loss(Tensor(np.zeros(0)), np.zeros(0))
+            _sse(Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
 
 class TestAdamW:

@@ -1,18 +1,14 @@
-"""Volume pipeline tests: geometry, normalization, augmentation, phantoms."""
+"""Volume pipeline tests: geometry, normalization, phantoms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import gaussian_smooth_direct
 from volab.labels import DataError
-from volab.volume import (AugmentConfig, PhantomSpec, Volume, augment_volume,
-                          crop_or_pad, default_phantom_gmm, elastic_deform,
-                          elastic_displacement, extract_bscan, flip_volume,
+from volab.volume import (PhantomSpec, Volume, crop_or_pad,
+                          default_phantom_gmm, extract_bscan,
                           generate_phantom, read_volume, resample_trilinear,
-                          rotate_volume, slice_index_for_angle, write_volume,
-                          zscore)
-
+                          write_volume, zscore)
 
 def grid_volume(shape, fn, spacing=(1.0, 1.0, 1.0)):
     idx = np.indices(shape, dtype=np.float64)
@@ -108,11 +104,6 @@ class TestZscore:
 
 
 class TestBscan:
-    def test_angle_to_index_convention(self):
-        assert slice_index_for_angle(90.0, 24) == 6
-        assert slice_index_for_angle(0.0, 24) == 0
-        assert slice_index_for_angle(345.0, 24) == 23
-
     def test_native_size_is_pure_copy(self):
         rng = np.random.default_rng(4)
         v = Volume(rng.normal(size=(5, 16, 12)).astype(np.float32), (1, 1, 1))
@@ -130,91 +121,6 @@ class TestBscan:
         v = Volume(np.zeros((4, 4, 4), dtype=np.float32), (1, 1, 1))
         with pytest.raises(DataError):
             extract_bscan(v, 7)
-
-
-class TestRigidAugment:
-    def test_flip_is_involution(self):
-        rng = np.random.default_rng(5)
-        v = Volume(rng.normal(size=(4, 6, 8)).astype(np.float32), (1, 1, 1))
-        out = flip_volume(flip_volume(v, [1, 2]), [1, 2])
-        np.testing.assert_array_equal(out.data, v.data)
-
-    def test_zero_rotation_is_identity(self):
-        rng = np.random.default_rng(6)
-        v = Volume(rng.normal(size=(7, 7, 7)).astype(np.float32), (1, 1, 1))
-        out = rotate_volume(v, (0.0, 0.0, 0.0))
-        np.testing.assert_allclose(out.data, v.data, atol=1e-6)
-
-    def test_quarter_turn_is_exact_permutation(self):
-        rng = np.random.default_rng(7)
-        v = Volume(rng.normal(size=(6, 6, 6)).astype(np.float32), (1, 1, 1))
-        out = rotate_volume(v, (90.0, 0.0, 0.0))
-        # rotation about axis 0 permutes the (1,2) plane
-        want = np.stack([np.rot90(v.data[i], k=-1) for i in range(6)])
-        match_plus = np.allclose(out.data, want, atol=1e-5)
-        want_minus = np.stack([np.rot90(v.data[i], k=1) for i in range(6)])
-        match_minus = np.allclose(out.data, want_minus, atol=1e-5)
-        assert match_plus or match_minus
-
-    def test_rotation_zero_fills_outside(self):
-        v = Volume(np.ones((11, 11, 11), dtype=np.float32), (1, 1, 1))
-        out = rotate_volume(v, (0.0, 45.0, 0.0))
-        assert out.data.min() == pytest.approx(0.0, abs=1e-6)
-        assert out.data.max() == pytest.approx(1.0, abs=1e-6)
-
-
-class TestElastic:
-    def cfg(self, **kw):
-        base = dict(flip_prob=0.0, max_rotation_deg=0.0, elastic=True,
-                    elastic_grid_spacing=4, elastic_sigma=4.0, elastic_alpha=1.0)
-        base.update(kw)
-        return AugmentConfig(**base)
-
-    def test_zero_alpha_is_identity(self):
-        rng = np.random.default_rng(8)
-        v = Volume(rng.normal(size=(12, 12, 12)).astype(np.float32), (1, 1, 1))
-        out = elastic_deform(v, self.cfg(elastic_alpha=0.0), np.random.default_rng(0))
-        np.testing.assert_allclose(out.data, v.data, atol=1e-6)
-
-    def test_constant_volume_unchanged(self):
-        v = Volume(np.full((12, 12, 12), 1.5, dtype=np.float32), (1, 1, 1))
-        out = elastic_deform(v, self.cfg(), np.random.default_rng(1))
-        np.testing.assert_allclose(out.data, 1.5, atol=1e-6)
-
-    def test_smoothing_bounded_and_matches_direct_convolution(self):
-        # max |d| <= alpha * max |raw|, and the smoother agrees with a
-        # hand-rolled truncated-Gaussian convolution
-        cfg = self.cfg(elastic_alpha=2.0)
-        shape = (20, 16, 12)
-        rng = np.random.default_rng(9)
-        disp = elastic_displacement(shape, cfg, rng)
-
-        raw = np.random.default_rng(9).standard_normal(
-            (3,) + tuple(int(np.ceil(n / 4)) + 1 for n in shape))
-        assert np.abs(disp).max() <= cfg.elastic_alpha * np.abs(raw).max() + 1e-9
-
-        sigma_coarse = cfg.elastic_sigma / cfg.elastic_grid_spacing
-        want0 = gaussian_smooth_direct(raw[0], sigma_coarse) * cfg.elastic_alpha
-        got0 = disp[0, ::4, ::4, ::4]  # coarse nodes sit every `spacing` voxels
-        np.testing.assert_allclose(got0, want0[:got0.shape[0], :got0.shape[1],
-                                               :got0.shape[2]], atol=1e-7)
-
-    def test_global_mean_roughly_preserved(self):
-        from scipy import ndimage as ndi
-        rng = np.random.default_rng(10)
-        data = 1.0 + 0.2 * ndi.gaussian_filter(rng.normal(size=(16, 16, 16)), 3.0)
-        v = Volume(data.astype(np.float32), (1, 1, 1))
-        out = elastic_deform(v, self.cfg(), np.random.default_rng(2))
-        drift = abs(out.data.mean() - v.data.mean()) / abs(v.data.mean())
-        assert drift < 0.02
-
-    def test_full_augment_is_seed_deterministic(self):
-        rng = np.random.default_rng(11)
-        v = Volume(rng.normal(size=(12, 12, 12)).astype(np.float32), (1, 1, 1))
-        cfg = AugmentConfig(elastic_grid_spacing=4, elastic_sigma=4.0)
-        a = augment_volume(v, cfg, np.random.default_rng(42))
-        b = augment_volume(v, cfg, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestPaperShapePipeline:
