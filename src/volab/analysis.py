@@ -5,12 +5,12 @@ centered kernel alignment, and the ADMP activation-dump format."""
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import DataError, risk_bin
+from .artifacts import DataError, Packer, Unpacker
+from .labels import risk_bin
 from .tensor import NumericError, ShapeError, Tensor, backward, narrow, tsum
 
 ERF_THRESHOLD = 0.01
@@ -360,66 +360,25 @@ def write_activation_dump(path, model_id, layers):
     """magic, model id, layer count, then per layer (id, N, D, f32 row-major
     data)."""
     _check_activations(layers)
-    with open(path, "wb") as fh:
-        fh.write(ADMP_MAGIC)
-        raw = str(model_id).encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<I", len(layers)))
-        for lid, arr in layers.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            lraw = str(lid).encode("utf-8")
-            fh.write(struct.pack("<I", len(lraw)))
-            fh.write(lraw)
-            fh.write(struct.pack("<II", *data.shape))
-            fh.write(data.tobytes())
+    out = Packer(ADMP_MAGIC)
+    out.string(model_id)
+    out.fields("I", len(layers))
+    for lid, arr in layers.items():
+        out.string(lid)
+        out.fields("2I", *np.shape(arr))
+        out.array(arr)
+    out.save(path)
 
 
 def read_activation_dump(path):
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read dump {path}: {err}") from err
-    if blob[:4] != ADMP_MAGIC:
-        raise DataError(f"{path}: bad dump magic {blob[:4]!r}")
-    off = 4
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise DataError(f"{path}: truncated dump")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    def take_str():
-        nonlocal off
-        (ln,) = take("<I")
-        if off + ln > len(blob):
-            raise DataError(f"{path}: truncated dump")
-        s = blob[off:off + ln].decode("utf-8")
-        off += ln
-        return s
-
-    model_id = take_str()
-    (count,) = take("<I")
+    src = Unpacker(path, ADMP_MAGIC, "dump")
+    model_id = src.string()
     layers = {}
-    for _ in range(count):
-        lid = take_str()
-        n, d = take("<II")
-        nbytes = 4 * n * d
-        if off + nbytes > len(blob):
-            raise DataError(f"{path}: truncated dump")
-        arr = np.frombuffer(blob, dtype="<f4", count=n * d,
-                            offset=off).reshape(n, d)
-        off += nbytes
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: layer {lid!r} has non-finite values")
-        layers[lid] = arr.copy()
-    if off != len(blob):
-        raise DataError(f"{path}: {len(blob) - off} trailing bytes")
+    for _ in range(src.fields("I")[0]):
+        lid = src.string()
+        layers[lid] = src.array(src.fields("2I"))
+    src.finish()
+    _check_activations(layers)
     return model_id, layers
 
 

@@ -11,7 +11,6 @@ The env var VOLAB_THREADS caps worker threads for --parallel-folds.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -27,10 +26,19 @@ from .analysis import (
     read_activation_dump,
     write_activation_dump,
 )
+from .artifacts import (
+    DataError,
+    parse_json_object,
+    read_bytes,
+    read_csv_rows,
+    read_json_object,
+    write_atomic,
+    write_csv,
+    write_npy,
+)
 from .labels import (
     MANIFEST_HEADER,
     CohortRecord,
-    DataError,
     GmmModel,
     RiskBin,
     read_manifest,
@@ -100,44 +108,9 @@ def derive_seed(master, stream):
     return int(ss.generate_state(1)[0])
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    """CSV with repr-rounded floats and LF newlines: byte-stable."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def write_json(path, payload):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
-
-
-def _read_json(path, kind):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read {kind} {path}: {err}") from err
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise UsageError(f"{kind} {path} is not valid JSON: {err}") from err
-    if not isinstance(payload, dict):
-        raise UsageError(f"{kind} {path} must hold a JSON object")
-    return payload
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +138,13 @@ _ANALYSIS_KEYS = {"k", "stages", "erf_inputs", "attn_inputs", "cka_inputs",
 
 
 def load_experiment(path):
-    raw = _read_json(path, "config")
+    """An unreadable config file is a data error; one that is not a JSON
+    object, or holds bad values, is a usage error."""
+    blob = read_bytes(path, "config")
+    try:
+        raw = parse_json_object(blob, f"config {path}")
+    except DataError as err:
+        raise UsageError(str(err)) from err
     allowed = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - allowed
     if unknown:
@@ -227,10 +206,6 @@ def train_config_from_block(block, seed):
         return TrainConfig(**merged)
     except (TypeError, ValueError) as err:
         raise UsageError(f"bad train block: {err}") from err
-
-
-def _rebase(path, base):
-    return path if os.path.isabs(path) else os.path.join(base, path)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +279,7 @@ def resolve_dataset(cfg, base, out_dir):
     regeneration is deterministic, so reruns rewrite identical bytes."""
     ds = cfg.dataset
     if "manifest" in ds:
-        man = _rebase(ds["manifest"], base)
+        man = os.path.join(base, ds["manifest"])
         return read_manifest(man), os.path.dirname(man), man
     if "phantom" in ds:
         block = dict(ds["phantom"])
@@ -370,7 +345,7 @@ def cmd_train(args):
     name = cfg.name or default_name
     train_cfg = train_config_from_block(cfg.train,
                                         derive_seed(cfg.seed, "init"))
-    out_dir = _rebase(cfg.out_dir, base)
+    out_dir = os.path.join(base, cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     records, root, manifest = resolve_dataset(cfg, base, out_dir)
     samples = samples_from_records(records, model_cfg, target=cfg.target,
@@ -417,7 +392,7 @@ def cmd_train(args):
 def _read_run_config(path):
     """A training run's resolved config and its ModelConfig. A missing key
     or a malformed model block is a data error."""
-    run_cfg = _read_json(path, "resolved config")
+    run_cfg = read_json_object(path, "resolved config")
     missing = [k for k in ("name", "seed", "model", "manifest")
                if k not in run_cfg]
     if missing:
@@ -431,13 +406,8 @@ def _read_run_config(path):
 def _load_run_model(ckpt_path):
     """Rebuild the architecture from the resolved config beside the
     checkpoint, then load the weights. Returns (model, run config)."""
-    run_dir = os.path.dirname(os.path.abspath(ckpt_path))
-    sidecar = os.path.join(run_dir, RESOLVED_CONFIG)
-    if not os.path.isfile(sidecar):
-        raise DataError(f"no {RESOLVED_CONFIG} beside checkpoint "
-                        f"{ckpt_path}; analyze needs the training run "
-                        f"directory")
-    run_cfg, model_cfg = _read_run_config(sidecar)
+    run_cfg, model_cfg = _read_run_config(os.path.join(
+        os.path.dirname(os.path.abspath(ckpt_path)), RESOLVED_CONFIG))
     model = build_model(model_cfg, seed=0)
     model.load(ckpt_path)
     return model, run_cfg
@@ -447,7 +417,7 @@ def _analysis_records(args, run_cfg, ckpt_path):
     man = args.manifest
     if man is None:
         run_dir = os.path.dirname(os.path.abspath(ckpt_path))
-        man = _rebase(run_cfg["manifest"], run_dir)
+        man = os.path.join(run_dir, run_cfg["manifest"])
     records = read_manifest(man)
     return records, os.path.dirname(man)
 
@@ -503,15 +473,15 @@ def _analyze_erf(args, model, run_cfg, records, root, out_dir):
     row.append(float(np.mean(ratios)) if ratios else None)
     write_csv(os.path.join(out_dir, "erf_table.csv"), TABLE4_HEADER, [row])
     for s in stages:
-        np.save(os.path.join(out_dir, f"erf_map_{s}.npy"),
-                mean_maps[s] / float(n))
+        write_npy(os.path.join(out_dir, f"erf_map_{s}.npy"),
+                  mean_maps[s] / float(n))
     print(f"erf: {len(stages)} stages over {n} inputs -> "
           f"{os.path.join(out_dir, 'erf_table.csv')}")
     return 0
 
 
 def _load_volume(record, root):
-    return read_volume(_rebase(record.volume_path, root))
+    return read_volume(os.path.join(root, record.volume_path))
 
 
 def _analyze_attn(args, model, run_cfg, records, root, out_dir):
@@ -613,22 +583,14 @@ def cmd_analyze(args):
 
 def read_predictions(path):
     """Pooled predictions CSV -> (pred, target, folds) float/int arrays."""
-    preds, targets, folds = [], [], []
+    rows = read_csv_rows(path, "predictions", PREDICTIONS_HEADER)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != PREDICTIONS_HEADER:
-                raise DataError(f"{path}: bad predictions header {header}")
-            for row in reader:
-                targets.append(float(row[2]))
-                preds.append(float(row[3]))
-                folds.append(int(row[4]))
+        return (np.asarray([float(r[3]) for r in rows]),
+                np.asarray([float(r[2]) for r in rows]),
+                np.asarray([int(r[4]) for r in rows], dtype=np.int64))
     except (ValueError, IndexError) as err:
         raise DataError(f"{path}: malformed predictions row: {err}") \
             from err
-    return (np.asarray(preds), np.asarray(targets),
-            np.asarray(folds, dtype=np.int64))
 
 
 def evaluate_pooled(pred, target):

@@ -3,16 +3,14 @@ and patient-grouped stratified cross-validation splits."""
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-
-class DataError(ValueError):
-    """Malformed cohort data, manifests, or label-model files."""
+from .artifacts import DataError, read_csv_rows, read_json_object, \
+    write_atomic, write_csv
 
 
 class RiskBin(Enum):
@@ -30,6 +28,9 @@ def risk_bin(p: float) -> RiskBin:
     if p >= 0.75:
         return RiskBin.KERATOCONUS
     return RiskBin.SUBCLINICAL
+
+
+_GMM_FIELDS = ("weights", "means", "covariances")
 
 
 @dataclass
@@ -70,22 +71,15 @@ class GmmModel:
         return self.means.shape[1]
 
     def to_json(self, path) -> None:
-        payload = {"weights": self.weights.tolist(),
-                   "means": self.means.tolist(),
-                   "covariances": self.covariances.tolist()}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        payload = {k: getattr(self, k).tolist() for k in _GMM_FIELDS}
+        write_atomic(path, (json.dumps(payload, indent=1) + "\n").encode())
 
     @classmethod
     def from_json(cls, path) -> "GmmModel":
+        payload = read_json_object(path, "mixture file")
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            return cls(np.array(payload["weights"]),
-                       np.array(payload["means"]),
-                       np.array(payload["covariances"]))
-        except (KeyError, json.JSONDecodeError) as err:
+            return cls(*(np.array(payload[k]) for k in _GMM_FIELDS))
+        except (KeyError, TypeError, ValueError) as err:
             raise DataError(f"{path}: bad mixture file: {err}") from err
 
 
@@ -149,40 +143,27 @@ MANIFEST_HEADER = ["patient_id", "eye_id", "volume_path", "p_kc", "age", "sex"]
 
 
 def write_manifest(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for r in records:
-            writer.writerow([r.patient_id, r.eye_id, r.volume_path,
-                             repr(float(r.p_kc)),
-                             "" if r.age is None else r.age,
-                             "" if r.sex is None else r.sex])
+    write_csv(path, MANIFEST_HEADER, [
+        [r.patient_id, r.eye_id, r.volume_path, float(r.p_kc), r.age, r.sex]
+        for r in records], lineterminator="\r\n")
 
 
 def read_manifest(path) -> list[CohortRecord]:
     records = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != MANIFEST_HEADER:
-                raise DataError(f"{path}: bad manifest header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(MANIFEST_HEADER):
-                    raise DataError(f"{path}:{lineno}: expected "
-                                    f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
-                try:
-                    p = float(row[3])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad p_kc {row[3]!r}") from None
-                if not 0.0 <= p <= 1.0:
-                    raise DataError(f"{path}:{lineno}: p_kc {p} outside [0, 1]")
-                records.append(CohortRecord(
-                    patient_id=row[0], eye_id=row[1], volume_path=row[2], p_kc=p,
-                    age=int(row[4]) if row[4] else None,
-                    sex=row[5] or None))
-    except OSError as err:
-        raise DataError(f"cannot read manifest {path}: {err}") from err
+    rows = read_csv_rows(path, "manifest", MANIFEST_HEADER)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(MANIFEST_HEADER):
+            raise DataError(f"{path}:{lineno}: expected "
+                            f"{len(MANIFEST_HEADER)} fields, got {len(row)}")
+        try:
+            p = float(row[3])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad p_kc {row[3]!r}") from None
+        if not 0.0 <= p <= 1.0:
+            raise DataError(f"{path}:{lineno}: p_kc {p} outside [0, 1]")
+        records.append(CohortRecord(row[0], row[1], row[2], p,
+                                    int(row[4]) if row[4] else None,
+                                    row[5] or None))
     if not records:
         raise DataError(f"{path}: manifest has no records")
     return records

@@ -16,8 +16,7 @@ uniformly:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,13 +89,9 @@ class ModelConfig:
     agg_dropout: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        object.__setattr__(self, "stage_channels",
-                           tuple(self.stage_channels))
-        object.__setattr__(self, "stage_strides", tuple(self.stage_strides))
-        object.__setattr__(self, "patch_size", tuple(self.patch_size))
-        object.__setattr__(self, "window_size", tuple(self.window_size))
-        object.__setattr__(self, "stage_depths", tuple(self.stage_depths))
+        for name in ("input_shape", "stage_channels", "stage_strides",
+                     "patch_size", "window_size", "stage_depths"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.family not in FAMILIES:
             raise ShapeError(f"unknown family {self.family!r}")
         if self.input_dims not in (2, 3):
@@ -125,17 +120,14 @@ class ModelConfig:
                 raise ShapeError("window_size must match input_dims")
             if not self.stage_depths:
                 raise ShapeError("swin needs stage_depths")
+        if min((self.stem_channels,) + self.stage_channels
+               + self.stage_strides) < 1:
+            raise ShapeError("stem_channels, stage_channels and "
+                             "stage_strides entries must be >= 1")
         if self.family == "cnn" or self.family.startswith("hybrid"):
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "
                                  "mismatch")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
     def token_grid(self):
         """Token grid after patch embedding (pads first when allowed)."""

@@ -8,13 +8,12 @@ be a suffix of the other. Every primitive checks its output for NaN/Inf.
 
 from __future__ import annotations
 
-import struct
 import weakref
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .labels import DataError
+from .artifacts import Packer, Unpacker
 
 DEFAULT_DTYPE = np.float32
 
@@ -790,57 +789,24 @@ CHECKPOINT_MAGIC = b"VLCK"
 def save_checkpoint(path, params):
     """Write named float32 arrays: magic, count, then per entry
     (name length, name bytes, rank, dims, little-endian float32 data)."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
-            if data.ndim:
-                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+    out = Packer(CHECKPOINT_MAGIC)
+    out.fields("I", len(params))
+    for name, arr in params.items():
+        data = np.ascontiguousarray(arr, dtype="<f4")  # scalars become (1,)
+        out.string(name)
+        out.fields(f"I{data.ndim}I", data.ndim, *data.shape)
+        out.array(data)
+    out.save(path)
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into an ordered {name: float32 array} dict.
     A missing, truncated or malformed file raises DataError."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read checkpoint {path}: {err}") from err
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    off = 4
-
-    def take(nbytes):
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise DataError(f"{path}: truncated checkpoint")
-        off += nbytes
-        return off - nbytes
-
-    def take_u32s(count):
-        return struct.unpack_from(f"<{count}I", blob, take(4 * count))
-
-    (count,) = take_u32s(1)
+    src = Unpacker(path, CHECKPOINT_MAGIC, "checkpoint")
     params = {}
-    for _ in range(count):
-        (name_len,) = take_u32s(1)
-        start = take(name_len)
-        try:
-            name = blob[start:off].decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise DataError(f"{path}: bad parameter name: {err}") from err
-        (rank,) = take_u32s(1)
-        shape = take_u32s(rank)
-        size = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(blob, dtype="<f4", count=size,
-                            offset=take(4 * size)).reshape(shape)
-        params[name] = arr.copy()
-    if off != len(blob):
-        raise DataError(f"{path}: {len(blob) - off} trailing bytes")
+    for _ in range(src.fields("I")[0]):
+        name = src.string()
+        (rank,) = src.fields("I")
+        params[name] = src.array(src.fields(f"{rank}I"))
+    src.finish()
     return params

@@ -158,10 +158,7 @@ def samples_from_records(records, model_cfg, target="pkc", root=None):
         raise ValueError(f"unknown target {target!r}")
     out = []
     for rec in records:
-        path = rec.volume_path
-        if root is not None:
-            path = os.path.join(root, path)
-        vol = read_volume(path)
+        vol = read_volume(os.path.join(root or "", rec.volume_path))
         y = rec.p_kc if target == "pkc" else float(rec.p_kc > 0.5)
         out.append(Sample(rec.patient_id, rec.eye_id,
                           make_input(vol, model_cfg), y))

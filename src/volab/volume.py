@@ -7,13 +7,13 @@ centers, origin at index 0). All interpolation is trilinear.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from volab.labels import DataError, GmmModel, gmm_posterior
+from volab.artifacts import DataError, Packer, Unpacker
+from volab.labels import GmmModel, gmm_posterior
 
 
 @dataclass
@@ -44,33 +44,20 @@ VOLUME_VERSION = 1
 def write_volume(path, volume: Volume) -> None:
     """magic, version u8, dims 3xu32, spacing 3xf32, then f32 voxels in
     slice-major (C) order."""
-    with open(path, "wb") as fh:
-        fh.write(VOLUME_MAGIC)
-        fh.write(struct.pack("<B", VOLUME_VERSION))
-        fh.write(struct.pack("<3I", *volume.data.shape))
-        fh.write(struct.pack("<3f", *volume.spacing))
-        fh.write(np.ascontiguousarray(volume.data, dtype="<f4").tobytes())
+    out = Packer(VOLUME_MAGIC)
+    out.fields("B3I3f", VOLUME_VERSION, *volume.data.shape, *volume.spacing)
+    out.array(volume.data)
+    out.save(path)
 
 
 def read_volume(path) -> Volume:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read volume {path}: {err}") from err
-    if blob[:4] != VOLUME_MAGIC:
-        raise DataError(f"{path}: bad volume magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<B", blob, 4)
+    src = Unpacker(path, VOLUME_MAGIC, "volume")
+    version, *header = src.fields("B3I3f")
     if version != VOLUME_VERSION:
         raise DataError(f"{path}: unsupported volume version {version}")
-    dims = struct.unpack_from("<3I", blob, 5)
-    spacing = struct.unpack_from("<3f", blob, 17)
-    count = int(np.prod(dims))
-    expected = 29 + 4 * count
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=29).reshape(dims)
-    return Volume(data.copy(), spacing)
+    data = src.array(header[:3])
+    src.finish()
+    return Volume(data, header[3:])
 
 
 # ---------------------------------------------------------------------------

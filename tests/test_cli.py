@@ -13,7 +13,7 @@ import pytest
 from volab import cli
 from volab.analysis import attention_distance_stats, cka_matrix, \
     read_activation_dump
-from volab.labels import read_manifest
+from volab.labels import CohortRecord, read_manifest, write_manifest
 from volab.metrics import auroc, brier_and_reliability, regression_metrics, \
     stratified_sens_spec
 from volab.models import ModelConfig, build_model
@@ -128,6 +128,17 @@ class TestPhantom:
                                 "--amp-hi", "1.0"]) == 1
         assert cli.main(["phantom", "--n", "2", "--out", out]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], '
+        '"covariances": [1.0, 1.0]}',
+    ], ids=["array", "ragged_means"])
+    def test_bad_mixture_file_exits_two(self, tmp_path, text):
+        gmm = tmp_path / "gmm.json"
+        gmm.write_text(text)
+        assert cli.main(["phantom", "--n", "2", "--seed", "1", "--gmm",
+                         str(gmm), "--out", str(tmp_path / "x")]) == 2
+
 
 class TestSeedStreams:
     def test_streams_are_distinct_and_stable(self):
@@ -230,6 +241,24 @@ class TestTrain:
             cfg["train"] = {count: 0}
             bad.write_text(json.dumps(cfg))
             assert cli.main(["train", "--config", str(bad)]) == 1, count
+        cfg["train"] = {}
+        cnn = {"family": "cnn", "input_dims": 3, "input_shape": [32, 32, 32]}
+        for change in ({"stage_strides": [0, 2, 2, 2]},
+                      {"stage_strides": [1, 2, -1, 2]},
+                      {"stage_channels": [8, 0, 32, 64]},
+                      {"stem_channels": 0}):
+            cfg["model"] = dict(cnn, **change)
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, change
+
+    def test_truncated_volume_exits_two(self, tmp_path):
+        (tmp_path / "vol.volb").write_bytes(b"VOLB\x01")
+        write_manifest(tmp_path / "manifest.csv",
+                       [CohortRecord("P0", "OD", "vol.volb", 0.5)])
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", "manifest.csv", "cnn3d", 1, n_folds=3,
+                      max_epochs=1)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
 
     def test_missing_dataset_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -528,6 +557,17 @@ class TestDamagedRun:
         cfg = json.loads(path.read_text())
         del cfg[key]
         path.write_text(json.dumps(cfg))
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(tmp_path / "rep")]) == 2
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["unparsable", "not_an_object"])
+    def test_resolved_config_unreadable_exits_two(self, workdir, tmp_path,
+                                                  text):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        (run / "resolved_config.json").write_text(text)
         assert self._analyze_erf(workdir, tmp_path, run) == 2
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(tmp_path / "rep")]) == 2

@@ -2,6 +2,9 @@
 brute-force oracle, merge behavior, aggregators, and the forward contract
 shared by every family."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,10 @@ from volab.tensor import (
     softmax,
     transpose,
 )
+
+
+PRESET_NAMES = ["cnn2d", "cnn3d", "vit2d", "vit3d", "swin2d", "swin3d",
+                "hybrid_lstm", "hybrid_transformer"]
 
 
 def _rng(seed=0):
@@ -421,9 +428,13 @@ class TestBuildDeterminism:
                                              b.named_parameters())]
         assert any(diffs)
 
-    def test_config_json_roundtrip(self):
-        cfg = desk_config("swin3d")
-        again = ModelConfig.from_json(cfg.to_json())
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_config_json_roundtrip(self, scale, name):
+        """The round trip train and analyze perform through
+        resolved_config.json."""
+        cfg = (desk_config if scale == "desk" else paper_config)(name)
+        again = ModelConfig(**json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
     def test_checkpoint_roundtrip_preserves_forward(self, tmp_path):
