@@ -358,7 +358,11 @@ def _check_activations(layers):
 
 def write_activation_dump(path, model_id, layers):
     """magic, model id, layer count, then per layer (id, N, D, f32 row-major
-    data)."""
+    data). The float32 values are checked, so a value beyond the float32
+    range is refused instead of written as inf."""
+    with np.errstate(over="ignore"):
+        layers = {lid: np.asarray(arr, dtype="<f4")
+                  for lid, arr in layers.items()}
     _check_activations(layers)
     out = Packer(ADMP_MAGIC)
     out.string(model_id)

@@ -133,8 +133,8 @@ class ExperimentConfig:
     name: str = ""
 
 
-_ANALYSIS_KEYS = {"k", "stages", "erf_inputs", "attn_inputs", "cka_inputs",
-                  "threshold", "bootstrap_n"}
+_ANALYSIS_KEYS = {"k", "erf_inputs", "attn_inputs", "cka_inputs",
+                  "threshold"}
 
 
 def load_experiment(path):
@@ -742,11 +742,8 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", required=True,
                    help="experiment config JSON path")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fold", type=int, default=None,
-                       help="train a single fold index")
-    group.add_argument("--all-folds", action="store_true",
-                       help="train every fold (default)")
+    p.add_argument("--fold", type=int, default=None,
+                   help="train a single fold index (default: every fold)")
     p.add_argument("--parallel-folds", type=int, default=1, metavar="N",
                    help="train up to N independent folds concurrently "
                         "(capped by VOLAB_THREADS)")

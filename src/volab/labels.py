@@ -161,8 +161,11 @@ def read_manifest(path) -> list[CohortRecord]:
             raise DataError(f"{path}:{lineno}: bad p_kc {row[3]!r}") from None
         if not 0.0 <= p <= 1.0:
             raise DataError(f"{path}:{lineno}: p_kc {p} outside [0, 1]")
-        records.append(CohortRecord(row[0], row[1], row[2], p,
-                                    int(row[4]) if row[4] else None,
+        try:
+            age = int(row[4]) if row[4] else None
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad age {row[4]!r}") from None
+        records.append(CohortRecord(row[0], row[1], row[2], p, age,
                                     row[5] or None))
     if not records:
         raise DataError(f"{path}: manifest has no records")

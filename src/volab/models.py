@@ -379,17 +379,18 @@ class VitNet(Module):
 
 
 def merge_centroids(cgrid):
-    """Parent centroid = mean of its 2^nd children (numpy twin of the
-    token merge)."""
+    """Parent centroid = mean of its real 2^nd children (numpy twin of the
+    token merge). The token that pads an odd axis covers no voxels, so it
+    enters as NaN and is left out of its parent's mean."""
     nd = cgrid.ndim - 1
-    half = tuple(g // 2 for g in cgrid.shape[:-1])
+    pads = [(0, g % 2) for g in cgrid.shape[:-1]] + [(0, 0)]
+    arr = np.pad(cgrid, pads, constant_values=np.nan)
     shape = []
-    for h in half:
-        shape.extend([h, 2])
+    for g in arr.shape[:-1]:
+        shape.extend([g // 2, 2])
     shape.append(nd)
-    arr = cgrid.reshape(shape)
     axes = tuple(2 * a + 1 for a in range(nd))
-    return arr.mean(axis=axes)
+    return np.nanmean(arr.reshape(shape), axis=axes)
 
 
 class SwinNet(Module):

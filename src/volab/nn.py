@@ -158,8 +158,8 @@ class BatchNorm(Module):
         }
 
     def __call__(self, x):
-        axes = (0,) + tuple(range(2, x.data.ndim))
         if self.training:
+            axes = (0,) + tuple(range(2, x.data.ndim))
             batch_mean = x.data.mean(axis=axes)
             batch_var = x.data.var(axis=axes)
             m = self.momentum
@@ -168,11 +168,9 @@ class BatchNorm(Module):
                                   + m * batch_mean).astype(x.data.dtype)
             rb["running_var"] = ((1 - m) * rb["running_var"]
                                  + m * batch_var).astype(x.data.dtype)
-            return batch_norm(x, self.gamma, self.beta, axes=axes,
-                              eps=self.eps)
+            return batch_norm(x, self.gamma, self.beta, eps=self.eps)
         stats = (self._buffers["running_mean"], self._buffers["running_var"])
-        return batch_norm(x, self.gamma, self.beta, axes=axes, eps=self.eps,
-                          stats=stats)
+        return batch_norm(x, self.gamma, self.beta, eps=self.eps, stats=stats)
 
 
 class LayerNorm(Module):
@@ -485,7 +483,7 @@ class PatchEmbed(Module):
                     f"{self.patch} (pad_policy=strict)")
             pads.append(rem)
         if any(pads):
-            x = _zero_pad_high(x, pads)
+            x = _zero_pad_high(x, pads, 2)
             spatial = x.shape[2:]
         grid = tuple(s // p for s, p in zip(spatial, self.patch))
         shape = [n, c]
@@ -507,12 +505,11 @@ class PatchEmbed(Module):
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _zero_pad_high(x, pads):
-    """Zero-pad spatial axes (axes 2..) of (N, C, *spatial) at the high end."""
-    for a, p in enumerate(pads):
+def _zero_pad_high(x, pads, first):
+    """Zero-pad axes first, first + 1, ... at the high end by ``pads``."""
+    for axis, p in enumerate(pads, start=first):
         if p == 0:
             continue
-        axis = 2 + a
         shape = list(x.shape)
         shape[axis] = p
         zeros = Tensor(np.zeros(shape, dtype=x.data.dtype))
@@ -536,32 +533,14 @@ class PatchMerge(Module):
 
     def __call__(self, x):
         n = x.shape[0]
-        grid = x.shape[1:-1]
-        d = x.shape[-1]
-        pads = [g % 2 for g in grid]
+        pads = [g % 2 for g in x.shape[1:-1]]
         if any(pads):
             if self.pad_policy != "pad":
-                raise ShapeError(f"grid {grid} must be even to merge "
-                                 f"(pad_policy=strict)")
-            for a, p in enumerate(pads):
-                if p:
-                    axis = 1 + a
-                    shape = list(x.shape)
-                    shape[axis] = 1
-                    x = concat([x, Tensor(np.zeros(shape,
-                                                   dtype=x.data.dtype))],
-                               axis=axis)
-            grid = x.shape[1:-1]
-        half = tuple(g // 2 for g in grid)
-        shape = [n]
-        for h in half:
-            shape.extend([h, 2])
-        shape.append(d)
-        x = reshape(x, tuple(shape))
-        perm = ([0] + [1 + 2 * a for a in range(self.nd)]
-                + [2 + 2 * a for a in range(self.nd)] + [2 * self.nd + 1])
-        x = transpose(x, perm)
-        x = reshape(x, (n,) + half + ((2 ** self.nd) * d,))
+                raise ShapeError(f"grid {x.shape[1:-1]} must be even to "
+                                 f"merge (pad_policy=strict)")
+            x = _zero_pad_high(x, pads, 1)
+        blocks, half = window_partition(x, (2,) * self.nd)
+        x = reshape(blocks, (n,) + half + ((2 ** self.nd) * x.shape[-1],))
         return self.proj(self.norm(x)), half
 
 

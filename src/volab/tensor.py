@@ -83,72 +83,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar; scalars become constant operands
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not a primitive; "
-                             "multiply by a reciprocal instead")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def relu(self):
-        return relu(self)
-
-    def gelu(self):
-        return gelu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 def _topological_order(output):
@@ -183,7 +120,6 @@ def backward(output: Tensor) -> None:
     if not output.requires_grad:
         raise ShapeError("output is detached from every requires_grad leaf")
     grads = {id(output): np.ones_like(output.data)}
-    holders = {id(output): output}
 
     def _leaf_accumulate(t, g):
         if t.grad is None:
@@ -196,7 +132,6 @@ def backward(output: Tensor) -> None:
         return
     for node in reversed(_topological_order(output)):
         g = grads.pop(id(node.output), None)
-        holders.pop(id(node.output), None)
         if g is None:
             continue
         parent_grads = node.vjp(g)
@@ -211,7 +146,6 @@ def backward(output: Tensor) -> None:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-                    holders[key] = parent
 
 
 def _finite(arr, op):
@@ -227,13 +161,6 @@ def _make(op, out_data, inputs, vjp):
     out.grad = None
     out.node = Node(op, inputs, out, vjp) if out.requires_grad else None
     return out
-
-
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else DEFAULT_DTYPE
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _check_suffix_broadcast(a_shape, b_shape, op):
@@ -261,8 +188,6 @@ def _reduce_to_shape(g, shape):
 
 
 def add(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
     _check_suffix_broadcast(a.shape, b.shape, "add")
     out = a.data + b.data
 
@@ -273,8 +198,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
     _check_suffix_broadcast(a.shape, b.shape, "sub")
     out = a.data - b.data
 
@@ -285,8 +208,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
     _check_suffix_broadcast(a.shape, b.shape, "mul")
     out = a.data * b.data
 
@@ -369,73 +290,56 @@ def softmax(x, axis=-1):
     return _make("softmax", out, (x,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale/shift per feature."""
-    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ShapeError("layer_norm: gamma/beta must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
-
-    def vjp(g):
-        gx_hat = g * gamma.data
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - m1 - xhat * m2)
-        axes = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-    return _make("layer_norm", out, (x, gamma, beta), vjp)
-
-
-def batch_norm(x, gamma, beta, axes=None, eps=1e-5, stats=None):
-    """Channel-axis-1 batch normalization.
-
-    Training form computes biased statistics over ``axes`` (default: all but
-    axis 1) and differentiates through them. Pass ``stats=(mean, var)`` for
-    the inference form with frozen statistics.
-    """
-    if x.ndim < 2:
-        raise ShapeError("batch_norm expects (N, C, ...) input")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError("batch_norm: gamma/beta must have shape (channels,)")
-    if axes is None:
-        axes = (0,) + tuple(range(2, x.ndim))
-    cshape = (1, c) + (1,) * (x.ndim - 2)
-    gam = gamma.data.reshape(cshape)
-    bet = beta.data.reshape(cshape)
-
-    if stats is not None:
-        mu = np.asarray(stats[0], dtype=x.data.dtype).reshape(cshape)
-        var = np.asarray(stats[1], dtype=x.data.dtype).reshape(cshape)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv
-        out = xhat * gam + bet
-
-        def vjp(g):
-            return (g * gam * inv,
-                    (g * xhat).sum(axis=axes),
-                    g.sum(axis=axes))
-
-        return _make("batch_norm", out, (x, gamma, beta), vjp)
-
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+def _normalize(op, x, gamma, beta, axis, over, eps, stats=None):
+    """Standardize ``x`` over the axes ``over`` (or with the frozen
+    ``stats=(mean, var)``), then scale/shift along the feature ``axis``."""
+    if gamma.shape != x.shape[axis:axis + 1] or beta.shape != gamma.shape:
+        raise ShapeError(f"{op}: gamma/beta must have shape "
+                         f"{x.shape[axis:axis + 1]}")
+    pshape = tuple(n if a == axis else 1 for a, n in enumerate(x.shape))
+    gam = gamma.data.reshape(pshape)
+    bet = beta.data.reshape(pshape)
+    if stats is None:
+        mu = x.data.mean(axis=over, keepdims=True)
+        var = x.data.var(axis=over, keepdims=True)
+    else:
+        mu, var = (np.asarray(s, dtype=x.data.dtype).reshape(pshape)
+                   for s in stats)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gam + bet
+    params = tuple(a for a in range(x.ndim) if a != axis)
 
     def vjp(g):
         gx_hat = g * gam
-        m1 = gx_hat.mean(axis=axes, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=axes, keepdims=True)
-        gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        if stats is None:
+            m1 = gx_hat.mean(axis=over, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=over, keepdims=True)
+            gx = inv * (gx_hat - m1 - xhat * m2)
+        else:
+            gx = inv * gx_hat
+        return gx, (g * xhat).sum(axis=params), g.sum(axis=params)
 
-    return _make("batch_norm", out, (x, gamma, beta), vjp)
+    return _make(op, out, (x, gamma, beta), vjp)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize over the last axis, then scale/shift per feature."""
+    last = x.ndim - 1
+    return _normalize("layer_norm", x, gamma, beta, last, (last,), eps)
+
+
+def batch_norm(x, gamma, beta, eps=1e-5, stats=None):
+    """Channel-axis-1 batch normalization.
+
+    Training form computes biased statistics over every axis but 1 and
+    differentiates through them. Pass ``stats=(mean, var)`` for the
+    inference form with frozen statistics.
+    """
+    if x.ndim < 2:
+        raise ShapeError("batch_norm expects (N, C, ...) input")
+    over = (0,) + tuple(range(2, x.ndim))
+    return _normalize("batch_norm", x, gamma, beta, 1, over, eps, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,13 @@ class TestActivationDump:
         with pytest.raises(DataError):
             write_activation_dump(tmp_path / "x.admp", "m", {"x": arr})
 
+    def test_float32_overflow_write_rejected(self, tmp_path):
+        # finite in float64, inf once cast to the float32 the file holds
+        path = tmp_path / "x.admp"
+        with pytest.raises(DataError):
+            write_activation_dump(path, "m", {"x": np.full((2, 2), 1e39)})
+        assert not path.exists()
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "dump.admp"
         write_activation_dump(path, "m", {"x": np.zeros((2, 2),

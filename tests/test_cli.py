@@ -250,6 +250,12 @@ class TestTrain:
             cfg["model"] = dict(cnn, **change)
             bad.write_text(json.dumps(cfg))
             assert cli.main(["train", "--config", str(bad)]) == 1, change
+        cfg["model"] = {"preset": "cnn3d"}
+        # analyze reads these from --stages and --bootstrap-n only
+        for key, value in (("stages", "stage1"), ("bootstrap_n", 500)):
+            cfg["analysis"] = {key: value}
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, key
 
     def test_truncated_volume_exits_two(self, tmp_path):
         (tmp_path / "vol.volb").write_bytes(b"VOLB\x01")
@@ -259,6 +265,29 @@ class TestTrain:
         _write_config(cfg, "r", "manifest.csv", "cnn3d", 1, n_folds=3,
                       max_epochs=1)
         assert cli.main(["train", "--config", str(cfg)]) == 2
+
+    def test_non_integer_age_exits_two(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("patient_id,eye_id,volume_path,p_kc,age,sex\n"
+                            "P0,OD,vol.volb,0.5,forty,F\n")
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", "manifest.csv", "cnn3d", 1, n_folds=3,
+                      max_epochs=1)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "manifest.csv:2: bad age 'forty'" in capsys.readouterr().err
+
+    def test_swin_odd_merged_grid_trains(self, workdir, tmp_path):
+        # stage-1 grid (4, 4, 3): the merge pads the odd axis with a token
+        model = {"family": "swin", "input_dims": 3,
+                 "input_shape": [32, 32, 24], "patch_size": [8, 8, 8],
+                 "window_size": [4, 4, 4], "stage_depths": [1, 1],
+                 "pad_policy": "pad", "embed_dim": 12, "n_heads": 2}
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "run", str(workdir / "data" / "manifest.csv"),
+                      "swin3d", 7, n_folds=3, max_epochs=1,
+                      extra={"model": model})
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "pooled_predictions.csv").is_file()
 
     def test_missing_dataset_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.json"

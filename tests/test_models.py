@@ -34,6 +34,7 @@ from volab.tensor import (
     save_checkpoint,
     softmax,
     transpose,
+    tsum,
 )
 
 
@@ -243,6 +244,23 @@ class TestPatchMerge:
             nn.PatchMerge(rng, 6, 2)(x)
         out, half = nn.PatchMerge(rng, 6, 2, pad_policy="pad")(x)
         assert half == (2, 2)
+
+
+    def test_odd_grid_merged_centroids_average_real_children(self):
+        cfg = ModelConfig(family="swin", input_dims=3,
+                          input_shape=(32, 32, 24), patch_size=(8, 8, 8),
+                          window_size=(4, 4, 4), stage_depths=(1, 1),
+                          pad_policy="pad", embed_dim=12, n_heads=2)
+        x = _rng(5).normal(size=(1, 1) + cfg.input_shape).astype(np.float32)
+        recs = build_model(cfg, seed=3).forward(x, record_attention=True)
+        stage1, stage2 = (r.centroids for r in recs.attention)
+        cgrid = stage1.reshape(4, 4, 3, 3)  # one window spans the grid
+        got = stage2.reshape(2, 2, 2, 3)
+        assert np.isfinite(got).all()
+        for i, j, k in np.ndindex(2, 2, 2):
+            children = cgrid[2 * i:2 * i + 2, 2 * j:2 * j + 2, 2 * k:2 * k + 2]
+            assert np.allclose(got[i, j, k],
+                               children.reshape(-1, 3).mean(axis=0))
 
 
 class TestAttentionBlocks:
@@ -478,7 +496,7 @@ class TestModelGradients:
             x = Tensor(_rng(2).normal(size=(1, 1) + cfg.input_shape)
                        .astype(np.float32), requires_grad=True)
             res = m.forward(x)
-            backward(res.pred.sum())
+            backward(tsum(res.pred))
             assert x.grad is not None
             assert np.isfinite(x.grad).all()
             assert np.abs(x.grad).max() > 0.0, name

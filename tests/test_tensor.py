@@ -85,40 +85,40 @@ class TestForwardSemantics:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64(np.arange(12.0).reshape(3, 4))
-        x.sum().backward()
+        backward(T.tsum(x))
         np.testing.assert_allclose(x.grad, np.ones((3, 4)))
 
     def test_square_gradient(self):
         x = t64([3.0])
-        (x * x).sum().backward()
+        backward(T.tsum(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_fanout_accumulates(self):
         x = t64([2.0])
         y = T.add(x, x)
-        y.sum().backward()
+        backward(T.tsum(y))
         np.testing.assert_allclose(x.grad, [2.0])
 
     def test_grad_accumulates_across_calls(self):
         x = t64([1.0, 2.0])
-        x.sum().backward()
-        x.sum().backward()
+        backward(T.tsum(x))
+        backward(T.tsum(x))
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_non_scalar_backward_raises(self):
         x = t64([1.0, 2.0])
         with pytest.raises(ShapeError):
-            backward(x * x)
+            backward(T.mul(x, x))
 
     def test_detached_output_raises(self):
         x = Tensor([1.0], requires_grad=False)
         with pytest.raises(ShapeError):
-            backward((x * x).sum())
+            backward(T.tsum(T.mul(x, x)))
 
     def test_tape_topological_and_unique(self):
         x = t64([1.0, 2.0])
         y = T.add(x, x)
-        z = T.mul(y, y).sum()
+        z = T.tsum(T.mul(y, y))
         nodes = T._topological_order(z)
         ids = [id(n) for n in nodes]
         assert len(ids) == len(set(ids))
@@ -130,7 +130,7 @@ class TestBackward:
 
     def test_composite_matches_finite_difference(self):
         def f(x, w):
-            return T.relu(x @ w).mean()
+            return T.mean(T.relu(T.matmul(x, w)))
 
         rng = np.random.default_rng(7)
         err = grad_check(f, [rng.normal(size=(3, 4)) + 0.3,
@@ -145,98 +145,98 @@ def _probe(r, shape):
 
 def _case_softmax(r):
     c = _probe(r, (3, 5))
-    return lambda x: T.mul(T.softmax(x, axis=-1), c).sum(), [r.normal(size=(3, 5))]
+    return lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), c)), [r.normal(size=(3, 5))]
 
 
 def _case_transpose(r):
     c = _probe(r, (3, 2, 4))
-    return lambda x: T.mul(T.transpose(x, (1, 0, 2)), c).sum(), [r.normal(size=(2, 3, 4))]
+    return lambda x: T.tsum(T.mul(T.transpose(x, (1, 0, 2)), c)), [r.normal(size=(2, 3, 4))]
 
 
 def _case_concat(r):
     c = _probe(r, (2, 7))
-    return (lambda a, b: T.mul(T.concat([a, b], axis=1), c).sum(),
+    return (lambda a, b: T.tsum(T.mul(T.concat([a, b], axis=1), c)),
             [r.normal(size=(2, 3)), r.normal(size=(2, 4))])
 
 
 def _case_roll(r):
     c = _probe(r, (4, 5))
-    return lambda x: T.mul(T.roll(x, (1, 2), (0, 1)), c).sum(), [r.normal(size=(4, 5))]
+    return lambda x: T.tsum(T.mul(T.roll(x, (1, 2), (0, 1)), c)), [r.normal(size=(4, 5))]
 
 
 def _case_take(r):
     c = _probe(r, (4, 3))
     idx = np.array([0, 2, 2, 1])
-    return lambda x: T.mul(T.take(x, idx), c).sum(), [r.normal(size=(5, 3))]
+    return lambda x: T.tsum(T.mul(T.take(x, idx), c)), [r.normal(size=(5, 3))]
 
 
 def _case_expand(r):
     c = _probe(r, (3, 2, 4))
-    return lambda x: T.mul(T.expand_batch(x, 3), c).sum(), [r.normal(size=(2, 4))]
+    return lambda x: T.tsum(T.mul(T.expand_batch(x, 3), c)), [r.normal(size=(2, 4))]
 
 
 def _case_mean_axis(r):
     c = _probe(r, (3, 5))
-    return lambda x: T.mul(T.mean(x, axis=1), c).sum(), [r.normal(size=(3, 4, 5))]
+    return lambda x: T.tsum(T.mul(T.mean(x, axis=1), c)), [r.normal(size=(3, 4, 5))]
 
 
 def _case_sum_keepdims(r):
     c = _probe(r, (1, 4, 1))
-    return lambda x: T.mul(T.tsum(x, axis=(0, 2), keepdims=True), c).sum(), [r.normal(size=(3, 4, 5))]
+    return lambda x: T.tsum(T.mul(T.tsum(x, axis=(0, 2), keepdims=True), c)), [r.normal(size=(3, 4, 5))]
 
 
 def _case_batch_norm(r):
     c = _probe(r, (4, 3, 5))
-    return (lambda x, g, b: T.mul(T.batch_norm(x, g, b), c).sum(),
+    return (lambda x, g, b: T.tsum(T.mul(T.batch_norm(x, g, b), c)),
             [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])
 
 
 def _case_pool_avg(r):
     c = _probe(r, (2, 2, 2, 2, 4))
-    return lambda x: T.mul(T.pool3d(x, "avg", (2, 2, 1), (2, 2, 1)), c).sum(), [r.normal(size=(2, 2, 4, 4, 4))]
+    return lambda x: T.tsum(T.mul(T.pool3d(x, "avg", (2, 2, 1), (2, 2, 1)), c)), [r.normal(size=(2, 2, 4, 4, 4))]
 
 
 def _case_pool_overlap(kind):
     # stride < window along two axes: each input feeds several windows
     def build(r):
         c = _probe(r, (2, 2, 3, 2, 3))
-        return (lambda x: T.mul(T.pool3d(x, kind, (2, 2, 2), (1, 2, 1)),
-                                c).sum(),
+        return (lambda x: T.tsum(T.mul(T.pool3d(x, kind, (2, 2, 2), (1, 2, 1)),
+                                       c)),
                 [r.normal(size=(2, 2, 4, 4, 4))])
     return build
 
 
 PRIMITIVE_CASES = [
-    ("add", lambda r: (lambda a, b: T.add(a, b).sum(), [r.normal(size=(3, 4)), r.normal(size=(3, 4))])),
-    ("add_suffix", lambda r: (lambda a, b: T.add(a, b).sum(), [r.normal(size=(2, 3, 4)), r.normal(size=(4,))])),
-    ("mul", lambda r: (lambda a, b: T.mul(a, b).mean(), [r.normal(size=(5, 2)), r.normal(size=(5, 2))])),
-    ("matmul", lambda r: (lambda a, b: T.matmul(a, b).sum(), [r.normal(size=(3, 4)), r.normal(size=(4, 5))])),
-    ("matmul_batched", lambda r: (lambda a, b: T.matmul(a, b).sum(), [r.normal(size=(2, 3, 4)), r.normal(size=(2, 4, 2))])),
-    ("matmul_stacked_by_2d", lambda r: (lambda a, b: T.matmul(a, b).sum(), [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5))])),
+    ("add", lambda r: (lambda a, b: T.tsum(T.add(a, b)), [r.normal(size=(3, 4)), r.normal(size=(3, 4))])),
+    ("add_suffix", lambda r: (lambda a, b: T.tsum(T.add(a, b)), [r.normal(size=(2, 3, 4)), r.normal(size=(4,))])),
+    ("mul", lambda r: (lambda a, b: T.mean(T.mul(a, b)), [r.normal(size=(5, 2)), r.normal(size=(5, 2))])),
+    ("matmul", lambda r: (lambda a, b: T.tsum(T.matmul(a, b)), [r.normal(size=(3, 4)), r.normal(size=(4, 5))])),
+    ("matmul_batched", lambda r: (lambda a, b: T.tsum(T.matmul(a, b)), [r.normal(size=(2, 3, 4)), r.normal(size=(2, 4, 2))])),
+    ("matmul_stacked_by_2d", lambda r: (lambda a, b: T.tsum(T.matmul(a, b)), [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5))])),
     ("softmax", _case_softmax),
-    ("layer_norm", lambda r: (lambda x, g, b: T.layer_norm(x, g, b).sum(), [r.normal(size=(4, 6)), r.normal(size=6), r.normal(size=6)])),
-    ("relu", lambda r: (lambda x: T.relu(x).sum(), [r.normal(size=(4, 4)) + 0.2])),
-    ("gelu", lambda r: (lambda x: T.gelu(x).sum(), [r.normal(size=(4, 4))])),
-    ("sigmoid", lambda r: (lambda x: T.sigmoid(x).mean(), [r.normal(size=(3, 3))])),
-    ("tanh", lambda r: (lambda x: T.tanh(x).mean(), [r.normal(size=(3, 3))])),
-    ("reshape", lambda r: (lambda x: T.reshape(x, (2, 6)).sum(), [r.normal(size=(3, 4))])),
+    ("layer_norm", lambda r: (lambda x, g, b: T.tsum(T.layer_norm(x, g, b)), [r.normal(size=(4, 6)), r.normal(size=6), r.normal(size=6)])),
+    ("relu", lambda r: (lambda x: T.tsum(T.relu(x)), [r.normal(size=(4, 4)) + 0.2])),
+    ("gelu", lambda r: (lambda x: T.tsum(T.gelu(x)), [r.normal(size=(4, 4))])),
+    ("sigmoid", lambda r: (lambda x: T.mean(T.sigmoid(x)), [r.normal(size=(3, 3))])),
+    ("tanh", lambda r: (lambda x: T.mean(T.tanh(x)), [r.normal(size=(3, 3))])),
+    ("reshape", lambda r: (lambda x: T.tsum(T.reshape(x, (2, 6))), [r.normal(size=(3, 4))])),
     ("transpose", _case_transpose),
     ("concat", _case_concat),
-    ("slice", lambda r: (lambda x: T.narrow(x, 1, 1, 3).sum(), [r.normal(size=(4, 6))])),
+    ("slice", lambda r: (lambda x: T.tsum(T.narrow(x, 1, 1, 3)), [r.normal(size=(4, 6))])),
     ("roll", _case_roll),
     ("take", _case_take),
     ("expand_batch", _case_expand),
     ("mean_axis", _case_mean_axis),
     ("sum_keepdims", _case_sum_keepdims),
     ("batch_norm", _case_batch_norm),
-    ("batch_norm_frozen", lambda r: (lambda x, g, b: T.batch_norm(x, g, b, stats=(np.full(3, 0.2), np.full(3, 1.3))).sum(), [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])),
-    ("conv3d", lambda r: (lambda x, w, b: T.conv3d(x, w, bias=b, stride=(1, 2, 1), padding=1).sum(), [r.normal(size=(2, 2, 4, 5, 4)), r.normal(size=(3, 2, 3, 3, 3)), r.normal(size=3)])),
-    ("conv2d", lambda r: (lambda x, w: T.conv2d(x, w, stride=2, padding=1).sum(), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
-    ("pool3d_max", lambda r: (lambda x: T.pool3d(x, "max", 2, 2).sum(), [r.normal(size=(2, 2, 4, 4, 4))])),
+    ("batch_norm_frozen", lambda r: (lambda x, g, b: T.tsum(T.batch_norm(x, g, b, stats=(np.full(3, 0.2), np.full(3, 1.3)))), [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])),
+    ("conv3d", lambda r: (lambda x, w, b: T.tsum(T.conv3d(x, w, bias=b, stride=(1, 2, 1), padding=1)), [r.normal(size=(2, 2, 4, 5, 4)), r.normal(size=(3, 2, 3, 3, 3)), r.normal(size=3)])),
+    ("conv2d", lambda r: (lambda x, w: T.tsum(T.conv2d(x, w, stride=2, padding=1)), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
+    ("pool3d_max", lambda r: (lambda x: T.tsum(T.pool3d(x, "max", 2, 2)), [r.normal(size=(2, 2, 4, 4, 4))])),
     ("pool3d_avg", _case_pool_avg),
     ("pool3d_max_overlap", _case_pool_overlap("max")),
     ("pool3d_avg_overlap", _case_pool_overlap("avg")),
-    ("dropout_scaling", lambda r: (lambda x: T.dropout(x, 0.0, np.random.default_rng(0), training=True).sum(), [r.normal(size=(3, 3))])),
+    ("dropout_scaling", lambda r: (lambda x: T.tsum(T.dropout(x, 0.0, np.random.default_rng(0), training=True)), [r.normal(size=(3, 3))])),
 ]
 
 
@@ -290,7 +290,8 @@ class TestConvPoolOracles:
         q = rng.normal(size=(6, 4))
         k = rng.normal(size=(6, 4))
         v = rng.normal(size=(6, 4))
-        scores = T.matmul(t64(q, False), T.transpose(t64(k, False), (1, 0))) / np.sqrt(4)
+        scores = T.mul(T.matmul(t64(q, False), T.transpose(t64(k, False), (1, 0))),
+                       t64(1.0 / np.sqrt(4), False))
         out = T.matmul(T.softmax(scores, axis=-1), t64(v, False))
         np.testing.assert_allclose(out.data, attention_loops(q, k, v), atol=1e-10)
 
@@ -357,14 +358,14 @@ class TestGradCheckHarness:
         # a forward that lies about its vjp must be caught
         def bad(x):
             out = T._make("bad", x.data * 2.0, (x,), lambda g: (g * 3.0,))
-            return out.sum()
+            return T.tsum(out)
 
         err = grad_check(bad, [np.ones(3)])
         assert err > 0.3
 
     def test_sampled_subset(self):
         def f(x):
-            return (x * x).sum()
+            return T.tsum(T.mul(x, x))
 
         err = grad_check(f, [np.linspace(0.5, 2.0, 64).reshape(8, 8)], sample=10)
         assert err < 1e-8

@@ -31,11 +31,11 @@ class TestMseLoss:
 
     def test_equal_is_zero(self):
         v = Tensor(np.array([0.2, 0.7, 0.9], np.float64))
-        assert _sse(v, Tensor(v.data)).item() == 0.0
+        assert float(_sse(v, Tensor(v.data)).data) == 0.0
 
     def test_unit_error(self):
         loss = _sse(Tensor(np.array([0.0, 1.0])), Tensor(np.array([1.0, 0.0])))
-        assert loss.item() == 2.0
+        assert float(loss.data) == 2.0
 
     def test_gradient_matches_finite_differences(self):
         target = Tensor(np.array([0.1, 0.6, 0.3, 0.9]))
