@@ -3,9 +3,9 @@ phantom dataset generation, cross-validated training, mechanistic analysis
 (effective receptive fields, attention distances, CKA), and report emission.
 
 Every command is a pure function of (args, config files, dataset bytes,
-seed); rerunning with identical inputs produces byte-identical outputs.
+seed); rerunning with identical inputs produces byte-identical outputs,
+whatever the --parallel-folds pool size.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-The env var VOLAB_THREADS caps worker threads for --parallel-folds.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .training import (
     TrainConfig,
     cross_validate,
     make_input,
-    run_fold,
     samples_from_records,
 )
 from .volume import PhantomSpec, generate_phantom, read_volume, write_volume
@@ -133,8 +132,13 @@ class ExperimentConfig:
     name: str = ""
 
 
-_ANALYSIS_KEYS = {"k", "erf_inputs", "attn_inputs", "cka_inputs",
-                  "threshold"}
+# analysis keys and the JSON value types each accepts
+_ANALYSIS_KEYS = {"k": int, "erf_inputs": int, "attn_inputs": int,
+                  "cka_inputs": int, "threshold": (int, float)}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_experiment(path):
@@ -152,7 +156,7 @@ def load_experiment(path):
     for key in ("seed", "out_dir", "dataset", "model"):
         if key not in raw:
             raise UsageError(f"config {path}: missing required key {key!r}")
-    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+    if not _is_int(raw["seed"]):
         raise UsageError(f"config {path}: seed must be an integer")
     cfg = ExperimentConfig(**raw)
     if not isinstance(cfg.dataset, dict) or not isinstance(cfg.model, dict):
@@ -163,10 +167,18 @@ def load_experiment(path):
         raise UsageError(f"config {path}: n_folds must be an integer >= 3 "
                          f"(test, validation, and train need disjoint "
                          f"folds)")
-    bad = set(cfg.analysis) - _ANALYSIS_KEYS
+    if not isinstance(cfg.analysis, dict):
+        raise UsageError(f"config {path}: analysis must be an object")
+    bad = set(cfg.analysis) - set(_ANALYSIS_KEYS)
     if bad:
         raise UsageError(f"config {path}: unknown analysis keys "
                          f"{sorted(bad)}")
+    for key, value in cfg.analysis.items():
+        kind = _ANALYSIS_KEYS[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            what = "an integer" if kind is int else "a number"
+            raise UsageError(f"config {path}: analysis.{key} must be "
+                             f"{what}, got {value!r}")
     return cfg
 
 
@@ -212,17 +224,37 @@ def train_config_from_block(block, seed):
 # phantom dataset generation
 
 
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _is_seq(value, length, item_ok):
+    return isinstance(value, (list, tuple)) and len(value) == length and \
+        all(item_ok(v) for v in value)
+
+
 def generate_phantom_dataset(out_dir, n, shape, seed, amplitude=(0.0, 1.0),
                              sparsity=0.2, noise=0.05, gmm=None):
     """n phantom volumes + manifest under out_dir. Per-record seeds derive
     from (seed, index), so the i-th volume does not depend on n. Anomaly
     amplitudes are drawn uniformly from the configured range; a wide range
-    makes the soft labels span all three risk bins."""
-    if n < 1:
-        raise UsageError(f"need at least one volume, got n={n}")
+    makes the soft labels span all three risk bins. Every argument is
+    checked before anything is written; a bad one is a usage error."""
+    if not _is_int(n) or n < 1:
+        raise UsageError(f"need at least one volume, got n={n!r}")
+    if not _is_seq(shape, 3, lambda s: _is_int(s) and s >= 1):
+        raise UsageError(f"shape must be three positive ints, got {shape!r}")
+    if not _is_seq(amplitude, 2, lambda a: _is_real(a) and a >= 0):
+        raise UsageError(f"amplitude must be two nonnegative numbers, "
+                         f"got {amplitude!r}")
     lo, hi = float(amplitude[0]), float(amplitude[1])
     if not lo <= hi:
         raise UsageError(f"amplitude range {amplitude} is inverted")
+    if not (_is_real(sparsity) and 0 < sparsity < 1):
+        raise UsageError(f"sparsity must lie in (0, 1), got {sparsity!r}")
+    if not (_is_real(noise) and noise >= 0):
+        raise UsageError(f"noise must be nonnegative, got {noise!r}")
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for i in range(n):
@@ -243,18 +275,11 @@ def generate_phantom_dataset(out_dir, n, shape, seed, amplitude=(0.0, 1.0),
     return records
 
 
-def _parse_shape(text):
-    try:
-        shape = tuple(int(p) for p in text.split(","))
-    except ValueError as err:
-        raise UsageError(f"bad shape {text!r}: {err}") from err
-    if len(shape) != 3 or any(s < 1 for s in shape):
-        raise UsageError(f"shape must be three positive ints, got {text!r}")
-    return shape
-
-
 def cmd_phantom(args):
-    shape = _parse_shape(args.shape)
+    try:
+        shape = tuple(int(p) for p in args.shape.split(","))
+    except ValueError as err:
+        raise UsageError(f"bad shape {args.shape!r}: {err}") from err
     gmm = GmmModel.from_json(args.gmm) if args.gmm else None
     records = generate_phantom_dataset(
         args.out, args.n, shape, args.seed,
@@ -282,18 +307,17 @@ def resolve_dataset(cfg, base, out_dir):
         man = os.path.join(base, ds["manifest"])
         return read_manifest(man), os.path.dirname(man), man
     if "phantom" in ds:
+        if not isinstance(ds["phantom"], dict):
+            raise UsageError("phantom dataset block must be an object")
         block = dict(ds["phantom"])
         n = block.pop("n", None)
-        shape = tuple(block.pop("shape", (32, 32, 32)))
-        amplitude = tuple(block.pop("amplitude", (0.0, 1.0)))
+        shape = block.pop("shape", (32, 32, 32))
+        amplitude = block.pop("amplitude", (0.0, 1.0))
         sparsity = block.pop("sparsity", 0.2)
         noise = block.pop("noise", 0.05)
         if block:
             raise UsageError(f"unknown phantom dataset keys "
                              f"{sorted(block)}")
-        if not isinstance(n, int) or n < 1:
-            raise UsageError("phantom dataset block needs a positive "
-                             "integer 'n'")
         root = os.path.join(out_dir, "data")
         records = generate_phantom_dataset(
             root, n, shape, derive_seed(cfg.seed, "data"),
@@ -303,43 +327,28 @@ def resolve_dataset(cfg, base, out_dir):
                      "'phantom' spec")
 
 
-def resolve_workers(requested):
-    workers = max(1, int(requested))
-    cap = os.environ.get("VOLAB_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError as err:
-            raise UsageError(f"VOLAB_THREADS must be an integer, "
-                             f"got {cap!r}") from err
-        if cap < 1:
-            raise UsageError(f"VOLAB_THREADS must be >= 1, got {cap}")
-        workers = min(workers, cap)
-    return workers
+def _prediction_rows(records, indices, preds, fold):
+    return [[records[i].patient_id, records[i].eye_id,
+             float(records[i].p_kc), float(p), fold]
+            for i, p in zip(indices, preds)]
 
 
-def _prediction_rows(records, indices, preds, fold_of):
-    rows = []
-    for j, i in enumerate(indices):
-        r = records[i]
-        k = fold_of if isinstance(fold_of, int) else int(fold_of[i])
-        rows.append([r.patient_id, r.eye_id, float(r.p_kc),
-                     float(preds[j]), k])
-    return rows
-
-
-def _write_fold(out_dir, k, result, model, records, test_idx, preds):
+def _write_fold(out_dir, k, result, model, rows):
     model.save(os.path.join(out_dir, f"fold{k}.ckpt"),
                epoch=result.best_epoch, val_mse=result.best_val_mse)
     write_csv(os.path.join(out_dir, f"fold{k}_history.csv"),
               HISTORY_HEADER, result.history)
     write_csv(os.path.join(out_dir, f"fold{k}_predictions.csv"),
-              PREDICTIONS_HEADER,
-              _prediction_rows(records, test_idx, preds, k))
+              PREDICTIONS_HEADER, rows)
 
 
 def cmd_train(args):
+    if args.parallel_folds < 1:
+        raise UsageError(f"--parallel-folds must be >= 1, "
+                         f"got {args.parallel_folds}")
     cfg = load_experiment(args.config)
+    if args.fold is not None and not 0 <= args.fold < cfg.n_folds:
+        raise UsageError(f"--fold {args.fold} outside 0..{cfg.n_folds - 1}")
     base = os.path.dirname(os.path.abspath(args.config))
     model_cfg, default_name = model_from_block(cfg.model)
     name = cfg.name or default_name
@@ -356,32 +365,21 @@ def cmd_train(args):
         "train": asdict(train_cfg), "analysis": cfg.analysis,
         "manifest": os.path.relpath(manifest, out_dir),
     })
-    if args.fold is not None:
-        if not 0 <= args.fold < cfg.n_folds:
-            raise UsageError(f"--fold {args.fold} outside "
-                             f"0..{cfg.n_folds - 1}")
-        res, model, test_idx, preds = run_fold(
-            records, samples, model_cfg, train_cfg, cfg.n_folds, args.fold)
-        _write_fold(out_dir, args.fold, res, model, records, test_idx,
-                    preds)
-        print(f"{name} fold {args.fold}: best epoch {res.best_epoch}, "
-              f"val mse {res.best_val_mse:.6f} -> {out_dir}")
-        return 0
-    workers = resolve_workers(args.parallel_folds)
-    cv = cross_validate(records, samples, model_cfg, train_cfg,
-                        n_folds=cfg.n_folds, n_workers=workers)
-    for k in range(cfg.n_folds):
-        test_idx = [int(i) for i in np.nonzero(cv.fold_of_record == k)[0]]
-        preds = [float(cv.pooled_pred[i]) for i in test_idx]
-        _write_fold(out_dir, k, cv.folds[k], cv.models[k], records,
-                    test_idx, preds)
-        print(f"{name} fold {k}: best epoch {cv.folds[k].best_epoch}, "
-              f"val mse {cv.folds[k].best_val_mse:.6f}")
-    write_csv(os.path.join(out_dir, POOLED_PREDICTIONS),
-              PREDICTIONS_HEADER,
-              _prediction_rows(records, range(len(records)), cv.pooled_pred,
-                               cv.fold_of_record))
-    print(f"{name}: {cfg.n_folds} folds -> {out_dir}")
+    folds = range(cfg.n_folds) if args.fold is None else [args.fold]
+    outs = cross_validate(records, samples, model_cfg, train_cfg,
+                          cfg.n_folds, folds, args.parallel_folds)
+    pooled = {}
+    for k, (res, model, test_idx, preds) in zip(folds, outs):
+        rows = _prediction_rows(records, test_idx, preds, k)
+        _write_fold(out_dir, k, res, model, rows)
+        pooled.update(zip(test_idx, rows))
+        print(f"{name} fold {k}: best epoch {res.best_epoch}, "
+              f"val mse {res.best_val_mse:.6f}")
+    if args.fold is None:
+        write_csv(os.path.join(out_dir, POOLED_PREDICTIONS),
+                  PREDICTIONS_HEADER,
+                  [pooled[i] for i in range(len(records))])
+    print(f"{name}: {len(folds)} of {cfg.n_folds} folds -> {out_dir}")
     return 0
 
 
@@ -445,6 +443,8 @@ def _table_stages(model):
 def _analyze_erf(args, model, run_cfg, records, root, out_dir):
     n = int(_analysis_setting(args, run_cfg, "erf_inputs", 2))
     threshold = float(_analysis_setting(args, run_cfg, "threshold", 0.01))
+    if not 0.0 <= threshold < 1.0:
+        raise UsageError(f"erf threshold {threshold} outside [0, 1)")
     stages = args.stages.split(",") if args.stages else _table_stages(model)
     known = model.stage_names() + ["output"]
     for s in stages:
@@ -745,8 +745,8 @@ def build_parser():
     p.add_argument("--fold", type=int, default=None,
                    help="train a single fold index (default: every fold)")
     p.add_argument("--parallel-folds", type=int, default=1, metavar="N",
-                   help="train up to N independent folds concurrently "
-                        "(capped by VOLAB_THREADS)")
+                   help="train up to N folds at once on a thread pool "
+                        "(default 1; outputs do not depend on N)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(

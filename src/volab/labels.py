@@ -3,14 +3,13 @@ and patient-grouped stratified cross-validation splits."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .artifacts import DataError, read_csv_rows, read_json_object, \
-    write_atomic, write_csv
+    write_csv
 
 
 class RiskBin(Enum):
@@ -69,10 +68,6 @@ class GmmModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def to_json(self, path) -> None:
-        payload = {k: getattr(self, k).tolist() for k in _GMM_FIELDS}
-        write_atomic(path, (json.dumps(payload, indent=1) + "\n").encode())
 
     @classmethod
     def from_json(cls, path) -> "GmmModel":

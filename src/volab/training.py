@@ -6,9 +6,10 @@ cross-validation."""
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,10 +40,15 @@ class TrainConfig:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("physical_batch", "accumulation_steps", "max_epochs",
                      "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or \
+                    isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if len(self.betas) != 2 or \
+                not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), "
+                             f"got {list(self.betas)}")
 
 
 def _sse(pred, target):
@@ -180,7 +186,6 @@ def _stack(samples, idx):
 
 def predict(model, samples, batch=16):
     """Eval-mode predictions for a list of Samples."""
-    model.net.set_training(False)
     preds = []
     for start in range(0, len(samples), batch):
         idx = range(start, min(start + batch, len(samples)))
@@ -211,7 +216,6 @@ def train_fold(model, train_samples, val_samples, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.max_epochs, cfg.lr_max, cfg.lr_min)
         order = rng.permutation(n)
-        model.net.set_training(True)
         sse_epoch = 0.0
         for g_start in range(0, n, group_size):
             group = order[g_start:g_start + group_size]
@@ -255,77 +259,49 @@ def train_fold(model, train_samples, val_samples, cfg):
 HISTORY_HEADER = ["epoch", "train_mse", "val_mse", "lr"]
 
 
-@dataclass
-class CrossValResult:
-    folds: list                 # FoldResult per fold
-    models: list                # trained ModelInstance per fold
-    fold_of_record: np.ndarray  # test-fold index per input record
-    pooled_pred: np.ndarray     # one prediction per record (its test fold)
-
-
-def run_fold(records, samples, model_cfg, train_cfg, n_folds, k):
-    """Train one cross-validation fold from scratch.
-
-    Fold k of the patient-grouped split is the test set, fold (k+1) mod
-    n_folds the validation set, the rest train; the model and permutation
-    seeds are offset by k. Returns (FoldResult, model, test_idx, preds).
-    """
-    if len(records) != len(samples):
-        raise ValueError("records/samples misaligned")
-    if not 0 <= k < n_folds:
-        raise ValueError(f"fold {k} outside 0..{n_folds - 1}")
-    folds = stratified_patient_split(records, n_folds=n_folds,
-                                     seed=train_cfg.seed)
-    test_idx = folds[k]
-    val_idx = folds[(k + 1) % n_folds]
-    held = set(test_idx) | set(val_idx)
-    train_idx = [i for i in range(len(records)) if i not in held]
-    model = build_model(model_cfg, seed=train_cfg.seed + k)
-    fold_cfg = TrainConfig(**{**asdict(train_cfg),
-                              "seed": train_cfg.seed + k})
-    res = train_fold(model,
-                     [samples[i] for i in train_idx],
-                     [samples[i] for i in val_idx], fold_cfg)
-    preds = predict(model, [samples[i] for i in test_idx],
-                    batch=train_cfg.physical_batch)
-    return res, model, test_idx, preds
-
-
 def cross_validate(records, samples, model_cfg, train_cfg, n_folds=5,
-                   n_workers=1):
-    """Patient-grouped k-fold: every record is predicted exactly once, by
-    the model that never saw its patient. Folds share no state, so
-    n_workers > 1 trains them in a thread pool with identical results."""
+                   folds=None, n_workers=1):
+    """Patient-grouped k-fold: fold k of the split is the test set, fold
+    (k+1) mod n_folds the validation set, the rest train, and the model
+    and permutation seeds are offset by k. Each requested fold (default:
+    every fold) trains from scratch, on the calling thread when n_workers
+    is 1 and otherwise on a pool of n_workers threads; folds share no
+    state, so n_workers never changes a result. Returns (FoldResult,
+    model, test_idx, preds) per requested fold, in order."""
     if len(records) != len(samples):
         raise ValueError("records/samples misaligned")
-    pooled = np.full(len(records), np.nan, dtype=np.float64)
-    fold_of = np.full(len(records), -1, dtype=np.int64)
-    outs = [None] * n_folds
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=min(n_workers, n_folds)) as ex:
-            futures = {ex.submit(run_fold, records, samples, model_cfg,
-                                 train_cfg, n_folds, k): k
-                       for k in range(n_folds)}
-            for fut in futures:
-                outs[futures[fut]] = fut.result()
-    else:
-        for k in range(n_folds):
-            outs[k] = run_fold(records, samples, model_cfg, train_cfg,
-                               n_folds, k)
-    results, models = [], []
-    for k, (res, model, test_idx, preds) in enumerate(outs):
-        for j, i in enumerate(test_idx):
-            pooled[i] = preds[j]
-            fold_of[i] = k
-        results.append(res)
-        models.append(model)
-    assert not np.isnan(pooled).any()
-    return CrossValResult(folds=results, models=models,
-                          fold_of_record=fold_of, pooled_pred=pooled)
+    folds = range(n_folds) if folds is None else folds
+    for k in folds:
+        if not 0 <= k < n_folds:
+            raise ValueError(f"fold {k} outside 0..{n_folds - 1}")
+    split = stratified_patient_split(records, n_folds=n_folds,
+                                     seed=train_cfg.seed)
+
+    def run(k):
+        test_idx = split[k]
+        val_idx = split[(k + 1) % n_folds]
+        held = set(test_idx) | set(val_idx)
+        train_idx = [i for i in range(len(records)) if i not in held]
+        model = build_model(model_cfg, seed=train_cfg.seed + k)
+        res = train_fold(model, [samples[i] for i in train_idx],
+                         [samples[i] for i in val_idx],
+                         replace(train_cfg, seed=train_cfg.seed + k))
+        preds = predict(model, [samples[i] for i in test_idx],
+                        batch=train_cfg.physical_batch)
+        return res, model, test_idx, preds
+
+    if n_workers == 1:
+        # on the calling thread: a pool thread's malloc arena keeps what
+        # training freed, where later work on the main thread cannot
+        # reuse it (a 72-phantom cnn3d train-then-analyze loop on a 2-core
+        # host peaked at 440 MiB this way, 730 MiB on a one-thread pool)
+        return [run(k) for k in folds]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(run, folds))
 
 
 __all__ = [
-    "AdamW", "CrossValResult", "EarlyStopper", "FoldResult",
+    "AdamW", "EarlyStopper", "FoldResult",
     "HISTORY_HEADER", "Sample", "TrainConfig", "cosine_lr", "cross_validate",
     "make_input", "predict", "samples_from_records",
     "train_fold",

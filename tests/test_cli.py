@@ -128,6 +128,17 @@ class TestPhantom:
                                 "--amp-hi", "1.0"]) == 1
         assert cli.main(["phantom", "--n", "2", "--out", out]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--sparsity", "0"], ["--sparsity", "1"], ["--noise", "-1"],
+        ["--noise", "nan"], ["--amp-lo", "-0.5"],
+    ], ids=["zero_sparsity", "unit_sparsity", "negative_noise", "nan_noise",
+            "negative_amplitude"])
+    def test_bad_spec_exits_one_before_writing(self, tmp_path, flags):
+        out = tmp_path / "x"
+        assert cli.main(["phantom", "--n", "2", "--seed", "1", "--out",
+                         str(out)] + flags) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "[1, 2]",
         '{"weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], '
@@ -186,12 +197,14 @@ class TestTrain:
         train_cfg = TrainConfig(**run_cfg["train"])
         samples = samples_from_records(records, model_cfg,
                                        root=str(workdir / "data"))
-        cv = cross_validate(records, samples, model_cfg, train_cfg,
-                            n_folds=run_cfg["n_folds"])
+        pooled = {}
+        for k, (_, _, test_idx, preds) in enumerate(cross_validate(
+                records, samples, model_cfg, train_cfg,
+                n_folds=run_cfg["n_folds"])):
+            pooled.update((i, (float(p), k)) for i, p in zip(test_idx, preds))
         _, rows = _read_csv(run / "pooled_predictions.csv")
-        assert [float(r[3]) for r in rows] == \
-            [float(p) for p in cv.pooled_pred]
-        assert [int(r[4]) for r in rows] == list(cv.fold_of_record)
+        assert [(float(r[3]), int(r[4])) for r in rows] == \
+            [pooled[i] for i in range(len(records))]
 
     def test_single_fold_reproduces_full_run_artifacts(self, workdir):
         run = workdir / "runs" / "vit3d"
@@ -211,18 +224,20 @@ class TestTrain:
                          str(workdir / "exp_vit.json")]) == 0
         assert _tree_hashes(run) == before
 
-    def test_parallel_folds_match_sequential(self, workdir, monkeypatch):
+    def test_parallel_folds_match_sequential(self, workdir):
         run = workdir / "runs" / "vit3d"
         before = _tree_hashes(run)
-        monkeypatch.setenv("VOLAB_THREADS", "2")
         assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
                          "--parallel-folds", "3"]) == 0
         assert _tree_hashes(run) == before
 
-    def test_bad_thread_cap_exits_one(self, workdir, monkeypatch):
-        monkeypatch.setenv("VOLAB_THREADS", "zero")
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_folds_below_one_exits_one(self, workdir, workers):
+        run = workdir / "runs" / "vit3d"
+        before = _tree_hashes(run)
         assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
-                         "--parallel-folds", "2"]) == 1
+                         "--parallel-folds", workers]) == 1
+        assert _tree_hashes(run) == before
 
     def test_config_errors_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -241,6 +256,12 @@ class TestTrain:
             cfg["train"] = {count: 0}
             bad.write_text(json.dumps(cfg))
             assert cli.main(["train", "--config", str(bad)]) == 1, count
+        for change in ({"betas": [0.9]}, {"betas": [0.9, 0.99, 0.5]},
+                       {"max_epochs": 1.5}, {"physical_batch": True},
+                       {"accumulation_steps": 2.0}, {"patience": "3"}):
+            cfg["train"] = change
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, change
         cfg["train"] = {}
         cnn = {"family": "cnn", "input_dims": 3, "input_shape": [32, 32, 32]}
         for change in ({"stage_strides": [0, 2, 2, 2]},
@@ -253,6 +274,11 @@ class TestTrain:
         cfg["model"] = {"preset": "cnn3d"}
         # analyze reads these from --stages and --bootstrap-n only
         for key, value in (("stages", "stage1"), ("bootstrap_n", 500)):
+            cfg["analysis"] = {key: value}
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, key
+        for key, value in (("threshold", "abc"), ("threshold", True),
+                           ("erf_inputs", 2.5), ("k", "5")):
             cfg["analysis"] = {key: value}
             bad.write_text(json.dumps(cfg))
             assert cli.main(["train", "--config", str(bad)]) == 1, key
@@ -296,12 +322,22 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 2
 
     def test_numeric_abort_exits_three(self, workdir, monkeypatch):
+        calls = []
+
         def explode(*args, **kwargs):
+            calls.append(args[3].seed)
             raise NumericError("training aborted at epoch 1, sample "
                                "offset 0")
-        monkeypatch.setattr(cli, "run_fold", explode)
+        monkeypatch.setattr("volab.training.train_fold", explode)
         assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
                          "--fold", "0"]) == 3
+        # the first failing fold ends the run: no later fold starts
+        calls.clear()
+        assert cli.main(["train", "--config",
+                         str(workdir / "exp_vit.json")]) == 3
+        assert len(calls) == 1
+        assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
+                         "--parallel-folds", "2"]) == 3
 
     def test_phantom_dataset_block(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -311,6 +347,22 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "run" / "data" / "manifest.csv").is_file()
         assert (tmp_path / "run" / "pooled_predictions.csv").is_file()
+
+    @pytest.mark.parametrize("block", [
+        {"n": 9, "shape": [32, 32]},
+        {"n": 9, "shape": [0, 32, 32]},
+        {"n": 9, "sparsity": 0},
+        {"n": 9, "noise": -1},
+        {"n": 9, "amplitude": [0.0, "one"]},
+        9,
+    ], ids=["two_axes", "zero_axis", "zero_sparsity", "negative_noise",
+            "text_amplitude", "not_an_object"])
+    def test_bad_phantom_block_exits_one(self, tmp_path, block):
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "run", "unused", "vit3d", 33, n_folds=3,
+                      max_epochs=1, extra={"dataset": {"phantom": block}})
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "run" / "data").exists()
 
 
 class TestAnalyzeErf:
@@ -357,6 +409,29 @@ class TestAnalyzeErf:
         assert cli.main(["analyze", "--checkpoint",
                          str(run / "fold0.ckpt"), "--instrument", "erf",
                          "--stages", "stage9"]) == 1
+
+    @pytest.mark.parametrize("source,value", [
+        ("flag", "1.0"), ("flag", "1.5"), ("flag", "-0.5"), ("flag", "nan"),
+        ("config", 1.0), ("config", -0.5),
+    ], ids=["flag_one", "flag_above_one", "flag_negative", "flag_nan",
+            "config_one", "config_negative"])
+    def test_threshold_outside_unit_interval_exits_one(
+            self, workdir, tmp_path, source, value):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        args = ["analyze", "--checkpoint", str(run / "fold0.ckpt"),
+                "--instrument", "erf", "--manifest",
+                str(workdir / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            args += ["--threshold", value]
+        else:
+            path = run / "resolved_config.json"
+            cfg = json.loads(path.read_text())
+            cfg["analysis"]["threshold"] = value
+            path.write_text(json.dumps(cfg))
+        assert cli.main(args) == 1
+        assert not (tmp_path / "out" / "erf_table.csv").exists()
 
 
 class TestAnalyzeAttn:
@@ -620,4 +695,3 @@ class TestHelpGolden:
     def test_exit_codes_documented(self):
         text = cli.build_parser().format_help()
         assert "0 success, 1 usage error, 2 data error, 3 numeric" in text
-        assert "VOLAB_THREADS" in text

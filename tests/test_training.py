@@ -259,13 +259,20 @@ class TestCrossValidation:
 
     def test_every_record_predicted_once_and_patient_grouped(self):
         records, samples = self._records_and_samples(10, seed=1)
-        result = cross_validate(records, samples, desk_config("vit2d"),
-                                self._cfg(), n_folds=5)
-        assert np.isfinite(result.pooled_pred).all()
-        assert set(result.fold_of_record) == set(range(5))
+        outs = cross_validate(records, samples, desk_config("vit2d"),
+                              self._cfg(), n_folds=5)
+        fold_of = {}
+        for k, (_, _, test_idx, preds) in enumerate(outs):
+            assert len(preds) == len(test_idx)
+            assert np.isfinite(preds).all()
+            for i in test_idx:
+                assert i not in fold_of
+                fold_of[i] = k
+        assert sorted(fold_of) == list(range(len(records)))
+        assert set(fold_of.values()) == set(range(5))
         by_patient = {}
-        for rec, fold in zip(records, result.fold_of_record):
-            by_patient.setdefault(rec.patient_id, set()).add(int(fold))
+        for i, rec in enumerate(records):
+            by_patient.setdefault(rec.patient_id, set()).add(fold_of[i])
         # both eyes of a patient always land in the same test fold
         assert all(len(fs) == 1 for fs in by_patient.values())
 
@@ -275,8 +282,28 @@ class TestCrossValidation:
                             self._cfg(), n_folds=5)
         r2 = cross_validate(records, samples, desk_config("vit2d"),
                             self._cfg(), n_folds=5)
-        assert np.array_equal(r1.pooled_pred, r2.pooled_pred)
-        assert np.array_equal(r1.fold_of_record, r2.fold_of_record)
+        for (_, _, idx1, p1), (_, _, idx2, p2) in zip(r1, r2):
+            assert idx1 == idx2
+            assert np.array_equal(p1, p2)
+
+    def test_fold_subset_on_a_pool_matches_full_run(self):
+        records, samples = self._records_and_samples(10, seed=4)
+        full = cross_validate(records, samples, desk_config("vit2d"),
+                              self._cfg(), n_folds=5)
+        part = cross_validate(records, samples, desk_config("vit2d"),
+                              self._cfg(), n_folds=5, folds=[3, 1],
+                              n_workers=2)
+        assert len(part) == 2
+        for k, (res, _, idx, preds) in zip([3, 1], part):
+            assert idx == full[k][2]
+            assert res.history == full[k][0].history
+            assert np.array_equal(preds, full[k][3])
+
+    def test_fold_outside_range_rejected(self):
+        records, samples = self._records_and_samples(6, seed=3)
+        with pytest.raises(ValueError):
+            cross_validate(records, samples, desk_config("vit2d"),
+                           self._cfg(), n_folds=3, folds=[3])
 
     def test_misaligned_inputs_rejected(self):
         records, samples = self._records_and_samples(6, seed=3)
