@@ -78,14 +78,25 @@ def erf_map(model, x, tap="output", threshold=ERF_THRESHOLD):
 
     ``x`` is a single unbatched input (channels, *spatial). The model only
     needs a ``forward`` in the ForwardResult protocol; et_ratio is filled
-    when it also carries a ``config``.
+    when it also carries a ``config``. The parameters a model lists in
+    ``named_parameters`` are frozen for the call, so the backward pass
+    computes the input gradient alone and leaves every ``.grad`` as it was.
     """
     x = np.asarray(x)
     xt = Tensor(x[None], requires_grad=True)
     cfg = getattr(model, "config", None)
     shape = x.shape[1:] if cfg is None else cfg.input_shape
-    result = model.forward(xt, record_stages=tap != "output")
-    backward(_tap_scalar(result, shape, tap))
+    params = ([p for _, p in model.named_parameters()]
+              if hasattr(model, "named_parameters") else [])
+    flags = [p.requires_grad for p in params]
+    try:
+        for p in params:
+            p.requires_grad = False
+        result = model.forward(xt, record_stages=tap != "output")
+        backward(_tap_scalar(result, shape, tap))
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     grad = np.abs(np.asarray(xt.grad, dtype=np.float64))[0].sum(axis=0)
     gmax = float(grad.max())
     if gmax <= 0.0:

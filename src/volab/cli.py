@@ -52,7 +52,7 @@ from .metrics import (
     stratified_sens_spec,
 )
 from .models import ModelConfig, build_model, desk_config, paper_config
-from .tensor import NumericError, ShapeError
+from .tensor import NumericError, ShapeError, no_grad
 from .training import (
     HISTORY_HEADER,
     TrainConfig,
@@ -141,6 +141,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _analysis_type_error(key, value):
+    """Why ``value`` cannot be the analysis setting ``key``, or None."""
+    kind = _ANALYSIS_KEYS[key]
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return None
+    what = "an integer" if kind is int else "a number"
+    return f"analysis.{key} must be {what}, got {value!r}"
+
+
 def load_experiment(path):
     """An unreadable config file is a data error; one that is not a JSON
     object, or holds bad values, is a usage error."""
@@ -174,11 +183,9 @@ def load_experiment(path):
         raise UsageError(f"config {path}: unknown analysis keys "
                          f"{sorted(bad)}")
     for key, value in cfg.analysis.items():
-        kind = _ANALYSIS_KEYS[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            what = "an integer" if kind is int else "a number"
-            raise UsageError(f"config {path}: analysis.{key} must be "
-                             f"{what}, got {value!r}")
+        err = _analysis_type_error(key, value)
+        if err:
+            raise UsageError(f"config {path}: {err}")
     return cfg
 
 
@@ -304,6 +311,9 @@ def resolve_dataset(cfg, base, out_dir):
     regeneration is deterministic, so reruns rewrite identical bytes."""
     ds = cfg.dataset
     if "manifest" in ds:
+        if not isinstance(ds["manifest"], str):
+            raise UsageError(f"dataset manifest must be a path, "
+                             f"got {ds['manifest']!r}")
         man = os.path.join(base, ds["manifest"])
         return read_manifest(man), os.path.dirname(man), man
     if "phantom" in ds:
@@ -421,10 +431,20 @@ def _analysis_records(args, run_cfg, ckpt_path):
 
 
 def _analysis_setting(args, run_cfg, key, fallback):
+    """The command-line flag if given (argparse has typed it), else the
+    run's resolved config, where a value of the wrong type is damage."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    return run_cfg.get("analysis", {}).get(key, fallback)
+    block = run_cfg.get("analysis", {})
+    if not isinstance(block, dict):
+        raise DataError(f"{RESOLVED_CONFIG}: analysis must be an object, "
+                        f"got {block!r}")
+    value = block.get(key, fallback)
+    err = _analysis_type_error(key, value)
+    if err:
+        raise DataError(f"{RESOLVED_CONFIG}: {err}")
+    return value
 
 
 def _table_stages(model):
@@ -501,7 +521,8 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
     labeled = []
     for i in sorted(chosen):
         x = make_input(_load_volume(records[i], root), model.config)
-        result = model.forward(x[None], record_attention=True)
+        with no_grad():
+            result = model.forward(x[None], record_attention=True)
         labeled.append((records[i].p_kc, result.attention))
     stats = attention_distance_stats(labeled, k=k)
     rows = []
@@ -535,7 +556,8 @@ def _analyze_cka(args, ckpts, out_dir):
         x = np.stack(
             [make_input(_load_volume(records[i], root), model.config)
              for i in range(n)], axis=0)
-        result = model.forward(x, record_stages=True)
+        with no_grad():
+            result = model.forward(x, record_stages=True)
         prefix = "" if same_arch else f"{idx}:{run_cfg['name']}:"
         layers = {f"{prefix}{tap.name}":
                   np.asarray(tap.data.data, dtype=np.float64).reshape(n, -1)

@@ -4,10 +4,17 @@ Values are numpy arrays, float32 by default. Build leaves with
 ``dtype=np.float64`` for gradient checking. Broadcasting is limited to
 suffix alignment: operand shapes must be equal, scalar, or one shape must
 be a suffix of the other. Every primitive checks its output for NaN/Inf.
+
+A primitive records a tape node when an input requires a gradient,
+unless the calling thread is inside ``no_grad()``: eval forwards run
+there and keep nothing for a backward pass. The conv3d and matmul VJPs
+compute only the gradients of inputs that require one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import weakref
 
 import numpy as np
@@ -154,10 +161,32 @@ def _finite(arr, op):
     return arr
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this scope the calling thread's primitives record no tape:
+    every output is a detached tensor with no node and no VJP closure.
+    The scope is per thread, so a fold predicting on one thread does not
+    detach a fold training on another."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _make(op, out_data, inputs, vjp):
     out = Tensor.__new__(Tensor)
     out.data = _finite(out_data, op)
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.requires_grad = _grad_mode.enabled and \
+        any(t.requires_grad for t in inputs)
     out.grad = None
     out.node = Node(op, inputs, out, vjp) if out.requires_grad else None
     return out
@@ -231,9 +260,14 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _reduce_to_shape(ga, a.shape), _reduce_to_shape(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                  a.shape)
+        if b.requires_grad:
+            gb = _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                  b.shape)
+        return ga, gb
 
     return _make("matmul", out, (a, b), vjp)
 
@@ -524,11 +558,40 @@ def _scatter_windows(gx, gcols, stride):
     return gx
 
 
+def _pad_or_crop(a, widths):
+    """Pad the three spatial axes of NCDHW ``a`` by ``widths`` zeros on
+    each side; a negative width crops that many planes instead."""
+    crop = tuple(slice(-q, a.shape[2 + i] + q) if q < 0 else slice(None)
+                 for i, q in enumerate(widths))
+    pads = ((0, 0), (0, 0)) + tuple((max(q, 0),) * 2 for q in widths)
+    return np.pad(a[(slice(None), slice(None)) + crop], pads)
+
+
+def _correlate(xp, w_mat, window, stride):
+    """Cross-correlate the padded NCDHW array ``xp`` with the kernel matrix
+    ``w_mat`` (out channels, in channels * window volume) as one im2col
+    matmul. Returns the NCDHW output and the (n, rows, positions) column
+    matrix."""
+    cols = _gather_windows(xp, window, stride)
+    grid = cols.shape[5:]
+    cols_mat = cols.reshape(xp.shape[0], w_mat.shape[1], -1)
+    out = np.matmul(w_mat[None], cols_mat)
+    return out.reshape(out.shape[:2] + grid), cols_mat
+
+
 def conv3d(x, w, bias=None, stride=1, padding=0):
     """3-D cross-correlation on NCDHW input with OIKdKhKw kernels.
 
-    Forward and backward run as one im2col matmul each; the input gradient
-    scatter-adds column gradients back through the kernel footprint.
+    The forward pass is one im2col matmul. The VJP computes only the
+    gradients whose inputs require one. The weight gradient is a batched
+    GEMM of the output gradient against the saved columns. At stride 1,
+    with no more output than input channels, the input gradient is the
+    transposed convolution: the output gradient, padded by k-1-p per axis
+    (cropped where that is negative), correlated with the flipped kernel
+    whose in and out channels are swapped. Otherwise the column gradients
+    are scatter-added back through the kernel footprint: the transposed
+    form would gather out/in times more columns (for the ERF probe's
+    1-to-8-channel stem, 9x the time of the scatter).
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -543,22 +606,31 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
         raise ShapeError("conv3d: kernel larger than padded input")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    cols = _gather_windows(xp, (kd, kh, kw), stride)
-    do, ho, wo = cols.shape[5:]
-    cols_mat = cols.reshape(n, c * kd * kh * kw, do * ho * wo)
-    w_mat = w.data.reshape(o, c * kd * kh * kw)
-    out = np.matmul(w_mat[None], cols_mat).reshape(n, o, do, ho, wo)
+    window = (kd, kh, kw)
+    w_mat = w.data.reshape(o, -1)
+    out, cols_mat = _correlate(xp, w_mat, window, stride)
+    xp_shape = xp.shape  # the closure keeps the shape, not the buffer
+    cols_shape = (n, c) + window + out.shape[2:]
     if bias is not None:
         if bias.shape != (o,):
             raise ShapeError("conv3d: bias must have shape (out_channels,)")
         out = out + bias.data.reshape(1, o, 1, 1, 1)
 
     def vjp(g):
-        g_mat = g.reshape(n, o, do * ho * wo)
-        gw = np.einsum("nol,nkl->ok", g_mat, cols_mat).reshape(w.shape)
-        gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols.shape)
-        gxp = _scatter_windows(np.zeros_like(xp), gcols, stride)
-        gx = gxp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd]
+        g_mat = g.reshape(n, o, -1)
+        gx = gw = None
+        if x.requires_grad and stride == (1, 1, 1) and o <= c:
+            w_t = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            gx = _correlate(_pad_or_crop(g, (kd - 1 - pd, kh - 1 - ph,
+                                             kw - 1 - pw)),
+                            w_t.reshape(c, -1), window, stride)[0]
+        elif x.requires_grad:
+            gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols_shape)
+            gxp = _scatter_windows(np.zeros(xp_shape, x.dtype), gcols, stride)
+            gx = gxp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd]
+        if w.requires_grad:
+            gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0) \
+                .reshape(w.shape)
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw

@@ -15,7 +15,7 @@ import numpy as np
 
 from .labels import stratified_patient_split
 from .models import build_model
-from .tensor import NumericError, Tensor, backward, mul, sub, tsum
+from .tensor import NumericError, Tensor, backward, mul, no_grad, sub, tsum
 from .volume import crop_or_pad, extract_bscan, read_volume, zscore
 
 
@@ -185,12 +185,13 @@ def _stack(samples, idx):
 
 
 def predict(model, samples, batch=16):
-    """Eval-mode predictions for a list of Samples."""
+    """Eval-mode predictions for a list of Samples, recorded on no tape."""
     preds = []
     for start in range(0, len(samples), batch):
         idx = range(start, min(start + batch, len(samples)))
         x, _ = _stack(samples, list(idx))
-        preds.append(model.forward(Tensor(x)).pred.data)
+        with no_grad():
+            preds.append(model.forward(Tensor(x)).pred.data)
     return np.concatenate(preds) if preds else np.zeros(0, np.float32)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from volab import analysis
+
 from volab.analysis import (
     attention_distance_stats,
     attention_distances,
@@ -24,7 +26,8 @@ from volab.models import (
     build_model,
     desk_config,
 )
-from volab.tensor import NumericError, ShapeError, Tensor, mean, mul, tsum
+from volab.tensor import NumericError, ShapeError, Tensor, backward, mean, \
+    mul, tsum
 
 from oracles import cka_direct, swin_reachable_extent, topk_attention_distances
 
@@ -112,6 +115,30 @@ class TestErfMap:
             fd = abs((f(hi) - f(lo)) / (2 * eps))
             err = abs(grad[v] - fd) / max(grad[v], fd, 1e-12)
             assert err < 1e-3, (v, grad[v], fd)
+
+    @pytest.mark.parametrize("name,tap", [("cnn3d", "stage2"),
+                                          ("swin3d", "stage1")])
+    def test_parameters_frozen_for_the_call(self, name, tap):
+        cfg = desk_config(name)
+        model = build_model(cfg, seed=9)
+        x = np.random.default_rng(10).normal(
+            size=(1,) + cfg.input_shape).astype(np.float32)
+        got = erf_map(model, x, tap).gradient
+        params = [p for _, p in model.named_parameters()]
+        assert all(p.grad is None and p.requires_grad for p in params)
+        # the same map from a call that also computes every weight gradient
+        xt = Tensor(x[None], requires_grad=True)
+        backward(analysis._tap_scalar(model.forward(xt, record_stages=True),
+                                      cfg.input_shape, tap))
+        assert any(p.grad is not None for p in params)
+        want = np.abs(np.asarray(xt.grad, dtype=np.float64))[0].sum(axis=0)
+        assert np.array_equal(got, want)
+
+    def test_parameters_thawed_after_a_failed_call(self):
+        model = build_model(desk_config("cnn3d"), seed=0)
+        with pytest.raises(ShapeError):
+            erf_map(model, np.zeros((1, 32, 32, 32), np.float32), "stage9")
+        assert all(p.requires_grad for _, p in model.named_parameters())
 
     def test_zero_model_rejected(self):
         stub = _LinearStub(np.zeros((4, 4, 4)))

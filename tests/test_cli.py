@@ -315,6 +315,15 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "run" / "pooled_predictions.csv").is_file()
 
+    @pytest.mark.parametrize("manifest", [5, None, ["m.csv"]],
+                             ids=["number", "null", "list"])
+    def test_non_string_manifest_exits_one(self, tmp_path, manifest):
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", manifest, "cnn3d", 1, n_folds=3,
+                      max_epochs=1)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "r" / "resolved_config.json").exists()
+
     def test_missing_dataset_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.json"
         _write_config(cfg, "r", "nowhere/manifest.csv", "cnn3d", 1,
@@ -675,6 +684,44 @@ class TestDamagedRun:
         assert self._analyze_erf(workdir, tmp_path, run) == 2
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(tmp_path / "rep")]) == 2
+
+
+    @pytest.mark.parametrize("instrument,analysis,bad_flag", [
+        ("erf", {"threshold": "abc"}, ("--threshold", "1.5")),
+        ("erf", {"erf_inputs": 2.5}, ("--erf-inputs", "0")),
+        ("erf", {"threshold": True}, ("--threshold", "-1")),
+        ("erf", ["threshold", 0.01], None),
+        ("attn", {"k": "5"}, ("--k", "0")),
+        ("attn", {"attn_inputs": None}, ("--attn-inputs", "0")),
+        ("attn", "bad", None),
+        ("cka", {"cka_inputs": "4"}, ("--cka-inputs", "1")),
+        ("cka", None, None),
+    ], ids=["erf_text_threshold", "erf_fractional_inputs",
+            "erf_bool_threshold", "erf_analysis_list", "attn_text_k",
+            "attn_null_inputs", "attn_analysis_text", "cka_text_inputs",
+            "cka_analysis_null"])
+    def test_damaged_analysis_value_exits_two(self, workdir, tmp_path,
+                                              instrument, analysis,
+                                              bad_flag):
+        run = tmp_path / "run"
+        preset = "cnn3d" if instrument == "erf" else "vit3d"
+        shutil.copytree(workdir / "runs" / preset, run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        cfg["analysis"] = analysis
+        path.write_text(json.dumps(cfg))
+        ckpts = [str(run / "fold0.ckpt")]
+        if instrument == "cka":
+            ckpts.append(str(run / "fold1.ckpt"))
+        args = ["analyze", "--checkpoint", *ckpts, "--instrument",
+                instrument, "--manifest",
+                str(workdir / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 2
+        if bad_flag is not None:
+            # the flag replaces the damaged value, and a bad flag is still
+            # a usage error
+            assert cli.main(args + list(bad_flag)) == 1
 
 
 class TestHelpGolden:

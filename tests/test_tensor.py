@@ -1,5 +1,7 @@
 """Engine tests: primitive semantics, backward correctness, serialization."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +208,25 @@ def _case_pool_overlap(kind):
     return build
 
 
+def _case_conv_stride1(x_shape, w_shape, padding, bias=True):
+    # stride 1 with out <= in channels takes the transposed-convolution
+    # input gradient; padding at or above the kernel extent crops the
+    # output gradient instead of padding it
+    def build(r):
+        out = tuple(s + 2 * p - k + 1 for s, p, k in
+                    zip(x_shape[2:], T._triple(padding, "padding"),
+                        w_shape[2:]))
+        c = _probe(r, (x_shape[0], w_shape[0]) + out)
+        args = [r.normal(size=x_shape), r.normal(size=w_shape)]
+        if bias:
+            args.append(r.normal(size=w_shape[0]))
+            return (lambda x, w, b: T.tsum(T.mul(
+                T.conv3d(x, w, bias=b, padding=padding), c)), args)
+        return (lambda x, w: T.tsum(T.mul(T.conv3d(x, w, padding=padding),
+                                          c)), args)
+    return build
+
+
 PRIMITIVE_CASES = [
     ("add", lambda r: (lambda a, b: T.tsum(T.add(a, b)), [r.normal(size=(3, 4)), r.normal(size=(3, 4))])),
     ("add_suffix", lambda r: (lambda a, b: T.tsum(T.add(a, b)), [r.normal(size=(2, 3, 4)), r.normal(size=(4,))])),
@@ -231,6 +252,12 @@ PRIMITIVE_CASES = [
     ("batch_norm", _case_batch_norm),
     ("batch_norm_frozen", lambda r: (lambda x, g, b: T.tsum(T.batch_norm(x, g, b, stats=(np.full(3, 0.2), np.full(3, 1.3)))), [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])),
     ("conv3d", lambda r: (lambda x, w, b: T.tsum(T.conv3d(x, w, bias=b, stride=(1, 2, 1), padding=1)), [r.normal(size=(2, 2, 4, 5, 4)), r.normal(size=(3, 2, 3, 3, 3)), r.normal(size=3)])),
+    ("conv3d_s1_pad0", _case_conv_stride1((2, 3, 4, 5, 3), (2, 3, 3, 3, 3), 0)),
+    ("conv3d_s1_pad1", _case_conv_stride1((2, 3, 4, 5, 3), (3, 3, 3, 3, 3), 1)),
+    ("conv3d_s1_pad_over_kernel", _case_conv_stride1((1, 2, 3, 2, 3), (2, 2, 2, 2, 2), (3, 2, 4))),
+    ("conv3d_s1_anisotropic", _case_conv_stride1((2, 3, 4, 5, 4), (2, 3, 3, 2, 1), (1, 0, 2))),
+    ("conv3d_s1_no_bias", _case_conv_stride1((2, 2, 4, 4, 4), (2, 2, 3, 3, 3), 1, bias=False)),
+    ("conv3d_s1_widening", _case_conv_stride1((2, 2, 4, 4, 4), (3, 2, 3, 3, 3), 1)),
     ("conv2d", lambda r: (lambda x, w: T.tsum(T.conv2d(x, w, stride=2, padding=1)), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
     ("pool3d_max", lambda r: (lambda x: T.tsum(T.pool3d(x, "max", 2, 2)), [r.normal(size=(2, 2, 4, 4, 4))])),
     ("pool3d_avg", _case_pool_avg),
@@ -294,6 +321,93 @@ class TestConvPoolOracles:
                        t64(1.0 / np.sqrt(4), False))
         out = T.matmul(T.softmax(scores, axis=-1), t64(v, False))
         np.testing.assert_allclose(out.data, attention_loops(q, k, v), atol=1e-10)
+
+
+class TestConvGradientSkipping:
+    @pytest.mark.parametrize("stride,out_ch", [(1, 3), (1, 4), ((1, 2, 1), 4)],
+                             ids=["s1", "s1_widening", "strided"])
+    def test_weight_gradient_unchanged_without_input_gradient(self, stride,
+                                                              out_ch):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(2, 3, 5, 4, 6))
+        w = rng.normal(size=(out_ch, 3, 3, 3, 3))
+        b = rng.normal(size=out_ch)
+        c = Tensor(rng.normal(size=(2, out_ch, 5, 2 if stride != 1 else 4, 6)),
+                   dtype=np.float64)
+        grads = []
+        for x_grad in (True, False):
+            xt, wt, bt = t64(x, grad=x_grad), t64(w), t64(b)
+            backward(T.tsum(T.mul(T.conv3d(xt, wt, bias=bt, stride=stride,
+                                           padding=1), c)))
+            assert (xt.grad is not None) == x_grad
+            grads.append((wt.grad, bt.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+
+    def test_frozen_weights_get_no_gradient(self):
+        rng = np.random.default_rng(16)
+        xt = t64(rng.normal(size=(1, 2, 4, 4, 4)))
+        wt = t64(rng.normal(size=(3, 2, 3, 3, 3)), grad=False)
+        out = T.conv3d(xt, wt, padding=1)
+        gx, gw = out.node.vjp(np.ones(out.shape))
+        assert gw is None and gx.shape == xt.shape
+
+
+class _CountingNode(T.Node):
+    made = 0
+
+    def __init__(self, *args):
+        type(self).made += 1
+        super().__init__(*args)
+
+
+class TestNoGrad:
+    def test_records_no_node_and_restores_on_exit(self, monkeypatch):
+        monkeypatch.setattr(T, "Node", _CountingNode)
+        _CountingNode.made = 0
+        x = t64(np.arange(6.0).reshape(2, 3))
+        with T.no_grad():
+            y = T.tsum(T.relu(T.mul(x, x)))
+        assert _CountingNode.made == 0
+        assert y.node is None and not y.requires_grad
+        with pytest.raises(ShapeError):
+            backward(y)
+        z = T.tsum(T.mul(x, x))
+        assert z.node is not None and _CountingNode.made == 2
+
+    def test_restores_after_exception_and_nests(self):
+        x = t64(np.ones(3))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("leave the scope")
+        assert T.tsum(x).node is not None
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.tsum(x).node is None
+        assert T.tsum(x).node is not None
+
+    def test_scope_is_per_thread(self):
+        x = t64(np.ones(4))
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def eval_thread():
+            with T.no_grad():
+                inside.set()
+                release.wait(10)
+                seen["eval"] = T.tsum(x).node
+
+        worker = threading.Thread(target=eval_thread)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            seen["train"] = T.tsum(T.mul(x, x)).node
+        finally:
+            release.set()
+            worker.join(10)
+        assert seen["eval"] is None
+        assert seen["train"] is not None
 
 
 class TestCheckpointFormat:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volab.tensor as T
 from volab.labels import CohortRecord
 from volab.models import build_model, desk_config
 from volab.tensor import NumericError, Tensor, backward, grad_check
@@ -213,6 +214,29 @@ class TestTrainFold:
         model = build_model(desk_config("vit2d"), seed=0)
         with pytest.raises(ValueError):
             train_fold(model, [], [], TrainConfig())
+
+
+class TestPredict:
+    @pytest.mark.parametrize("preset,dim", [("cnn3d", (32, 32, 32)),
+                                            ("vit2d", (32, 32))],
+                             ids=["cnn3d", "vit2d"])
+    def test_eval_forward_records_no_node(self, monkeypatch, preset, dim):
+        made = []
+
+        class Counting(T.Node):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        model = build_model(desk_config(preset), seed=0)
+        samples = _toy_samples(3, dim, seed=1)
+        monkeypatch.setattr(T, "Node", Counting)
+        preds = predict(model, samples, batch=3)
+        assert made == []
+        # the tape-free forward computes what a taped one does
+        x = np.stack([s.x for s in samples])
+        taped = model.forward(Tensor(x)).pred.data
+        assert made and np.array_equal(preds, taped)
 
 
 class TestAccumulationEquivalence:
