@@ -4,7 +4,8 @@ phantom dataset generation, cross-validated training, mechanistic analysis
 
 Every command is a pure function of (args, config files, dataset bytes,
 seed); rerunning with identical inputs produces byte-identical outputs,
-whatever the --parallel-folds pool size.
+whatever the --parallel-folds pool size. An experiment config holds only
+what train reads; analyze takes its settings from its flags alone.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .analysis import (
+    ERF_THRESHOLD,
     attention_distance_stats,
     cka_matrix,
     erf_map,
@@ -62,7 +64,7 @@ from .training import (
 )
 from .volume import PhantomSpec, generate_phantom, read_volume, write_volume
 
-SEED_STREAMS = ("data", "init", "bootstrap")
+SEED_STREAMS = ("init", "bootstrap")
 
 PREDICTIONS_HEADER = ["patient_id", "eye_id", "p_kc", "pred", "fold"]
 TABLE2_HEADER = ["model", "dim", "params", "mse", "mae", "r2", "pearson",
@@ -100,9 +102,9 @@ class UsageError(Exception):
 
 
 def derive_seed(master, stream):
-    """Named sub-stream of the master seed (data, init, bootstrap): each
-    stream name is hashed on its own, so toggling one stage never perturbs
-    the randomness of another."""
+    """Named sub-stream of the master seed (init, bootstrap): each stream
+    name is hashed on its own, so toggling one stage never perturbs the
+    randomness of another."""
     ss = np.random.SeedSequence([int(master)] + [ord(c) for c in stream])
     return int(ss.generate_state(1)[0])
 
@@ -118,41 +120,28 @@ def write_json(path, payload):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One training experiment: dataset + model + train + analysis blocks,
-    an output directory, and the mandatory master seed."""
+    """One training experiment: what ``train`` reads and nothing else. The
+    dataset block is exactly {"manifest": path}."""
 
     seed: int
     out_dir: str
     dataset: dict
     model: dict
     train: dict = field(default_factory=dict)
-    analysis: dict = field(default_factory=dict)
     n_folds: int = 5
-    target: str = "pkc"
     name: str = ""
 
 
-# analysis keys and the JSON value types each accepts
-_ANALYSIS_KEYS = {"k": int, "erf_inputs": int, "attn_inputs": int,
-                  "cka_inputs": int, "threshold": (int, float)}
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _analysis_type_error(key, value):
-    """Why ``value`` cannot be the analysis setting ``key``, or None."""
-    kind = _ANALYSIS_KEYS[key]
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return None
-    what = "an integer" if kind is int else "a number"
-    return f"analysis.{key} must be {what}, got {value!r}"
+def _is_seed(value):
+    """numpy's SeedSequence takes non-negative integers only."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def load_experiment(path):
     """An unreadable config file is a data error; one that is not a JSON
-    object, or holds bad values, is a usage error."""
+    object, or holds bad values, is a usage error. Every check runs before
+    ``train`` writes anything."""
     blob = read_bytes(path, "config")
     try:
         raw = parse_json_object(blob, f"config {path}")
@@ -165,27 +154,23 @@ def load_experiment(path):
     for key in ("seed", "out_dir", "dataset", "model"):
         if key not in raw:
             raise UsageError(f"config {path}: missing required key {key!r}")
-    if not _is_int(raw["seed"]):
-        raise UsageError(f"config {path}: seed must be an integer")
     cfg = ExperimentConfig(**raw)
-    if not isinstance(cfg.dataset, dict) or not isinstance(cfg.model, dict):
-        raise UsageError(f"config {path}: dataset/model must be objects")
-    if cfg.target not in ("pkc", "binary"):
-        raise UsageError(f"config {path}: target must be pkc or binary")
+    if not _is_seed(cfg.seed):
+        raise UsageError(f"config {path}: seed must be a non-negative "
+                         f"integer, got {cfg.seed!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise UsageError(f"config {path}: out_dir must be a path, "
+                         f"got {cfg.out_dir!r}")
+    if not (isinstance(cfg.dataset, dict) and set(cfg.dataset) == {"manifest"}
+            and isinstance(cfg.dataset["manifest"], str)):
+        raise UsageError(f"config {path}: dataset must be "
+                         f"{{\"manifest\": <path>}}, got {cfg.dataset!r}")
+    if not isinstance(cfg.model, dict):
+        raise UsageError(f"config {path}: model must be an object")
     if not isinstance(cfg.n_folds, int) or cfg.n_folds < 3:
         raise UsageError(f"config {path}: n_folds must be an integer >= 3 "
                          f"(test, validation, and train need disjoint "
                          f"folds)")
-    if not isinstance(cfg.analysis, dict):
-        raise UsageError(f"config {path}: analysis must be an object")
-    bad = set(cfg.analysis) - set(_ANALYSIS_KEYS)
-    if bad:
-        raise UsageError(f"config {path}: unknown analysis keys "
-                         f"{sorted(bad)}")
-    for key, value in cfg.analysis.items():
-        err = _analysis_type_error(key, value)
-        if err:
-            raise UsageError(f"config {path}: {err}")
     return cfg
 
 
@@ -231,43 +216,35 @@ def train_config_from_block(block, seed):
 # phantom dataset generation
 
 
-def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def _is_seq(value, length, item_ok):
-    return isinstance(value, (list, tuple)) and len(value) == length and \
-        all(item_ok(v) for v in value)
-
-
-def generate_phantom_dataset(out_dir, n, shape, seed, amplitude=(0.0, 1.0),
-                             sparsity=0.2, noise=0.05, gmm=None):
+def generate_phantom_dataset(out_dir, n, shape, seed, amplitude, sparsity,
+                             noise, gmm):
     """n phantom volumes + manifest under out_dir. Per-record seeds derive
     from (seed, index), so the i-th volume does not depend on n. Anomaly
     amplitudes are drawn uniformly from the configured range; a wide range
     makes the soft labels span all three risk bins. Every argument is
     checked before anything is written; a bad one is a usage error."""
-    if not _is_int(n) or n < 1:
-        raise UsageError(f"need at least one volume, got n={n!r}")
-    if not _is_seq(shape, 3, lambda s: _is_int(s) and s >= 1):
-        raise UsageError(f"shape must be three positive ints, got {shape!r}")
-    if not _is_seq(amplitude, 2, lambda a: _is_real(a) and a >= 0):
-        raise UsageError(f"amplitude must be two nonnegative numbers, "
-                         f"got {amplitude!r}")
-    lo, hi = float(amplitude[0]), float(amplitude[1])
+    if n < 1:
+        raise UsageError(f"need at least one volume, got n={n}")
+    if not _is_seed(seed):
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    if len(shape) != 3 or min(shape) < 1:
+        raise UsageError(f"shape must be three positive ints, got {shape}")
+    lo, hi = amplitude
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo):
+        raise UsageError(f"amplitude range {amplitude} must be finite and "
+                         f"nonnegative")
     if not lo <= hi:
         raise UsageError(f"amplitude range {amplitude} is inverted")
-    if not (_is_real(sparsity) and 0 < sparsity < 1):
-        raise UsageError(f"sparsity must lie in (0, 1), got {sparsity!r}")
-    if not (_is_real(noise) and noise >= 0):
-        raise UsageError(f"noise must be nonnegative, got {noise!r}")
+    if not 0 < sparsity < 1:
+        raise UsageError(f"sparsity must lie in (0, 1), got {sparsity}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise UsageError(f"noise must be nonnegative, got {noise}")
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         amp = float(rng.uniform(lo, hi))
-        spec = PhantomSpec(shape=tuple(shape), anomaly_amplitude=amp,
+        spec = PhantomSpec(shape=shape, anomaly_amplitude=amp,
                            anomaly_sparsity=sparsity, noise_sigma=noise,
                            **({} if gmm is None else {"label_gmm": gmm}))
         vol, p_kc, _ = generate_phantom(spec, rng)
@@ -305,38 +282,6 @@ def cmd_phantom(args):
 # training
 
 
-def resolve_dataset(cfg, base, out_dir):
-    """Returns (records, volume root, manifest path). A phantom block
-    regenerates the dataset under out_dir/data from the data sub-stream;
-    regeneration is deterministic, so reruns rewrite identical bytes."""
-    ds = cfg.dataset
-    if "manifest" in ds:
-        if not isinstance(ds["manifest"], str):
-            raise UsageError(f"dataset manifest must be a path, "
-                             f"got {ds['manifest']!r}")
-        man = os.path.join(base, ds["manifest"])
-        return read_manifest(man), os.path.dirname(man), man
-    if "phantom" in ds:
-        if not isinstance(ds["phantom"], dict):
-            raise UsageError("phantom dataset block must be an object")
-        block = dict(ds["phantom"])
-        n = block.pop("n", None)
-        shape = block.pop("shape", (32, 32, 32))
-        amplitude = block.pop("amplitude", (0.0, 1.0))
-        sparsity = block.pop("sparsity", 0.2)
-        noise = block.pop("noise", 0.05)
-        if block:
-            raise UsageError(f"unknown phantom dataset keys "
-                             f"{sorted(block)}")
-        root = os.path.join(out_dir, "data")
-        records = generate_phantom_dataset(
-            root, n, shape, derive_seed(cfg.seed, "data"),
-            amplitude=amplitude, sparsity=sparsity, noise=noise)
-        return records, root, os.path.join(root, "manifest.csv")
-    raise UsageError("dataset block needs a 'manifest' path or a "
-                     "'phantom' spec")
-
-
 def _prediction_rows(records, indices, preds, fold):
     return [[records[i].patient_id, records[i].eye_id,
              float(records[i].p_kc), float(p), fold]
@@ -364,15 +309,15 @@ def cmd_train(args):
     name = cfg.name or default_name
     train_cfg = train_config_from_block(cfg.train,
                                         derive_seed(cfg.seed, "init"))
+    manifest = os.path.join(base, cfg.dataset["manifest"])
+    records = read_manifest(manifest)
+    samples = samples_from_records(records, model_cfg,
+                                   root=os.path.dirname(manifest))
     out_dir = os.path.join(base, cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    records, root, manifest = resolve_dataset(cfg, base, out_dir)
-    samples = samples_from_records(records, model_cfg, target=cfg.target,
-                                   root=root)
     write_json(os.path.join(out_dir, RESOLVED_CONFIG), {
         "name": name, "seed": cfg.seed, "n_folds": cfg.n_folds,
-        "target": cfg.target, "model": asdict(model_cfg),
-        "train": asdict(train_cfg), "analysis": cfg.analysis,
+        "model": asdict(model_cfg), "train": asdict(train_cfg),
         "manifest": os.path.relpath(manifest, out_dir),
     })
     folds = range(cfg.n_folds) if args.fold is None else [args.fold]
@@ -398,13 +343,17 @@ def cmd_train(args):
 
 
 def _read_run_config(path):
-    """A training run's resolved config and its ModelConfig. A missing key
-    or a malformed model block is a data error."""
+    """A training run's resolved config and its ModelConfig. A missing key,
+    a bad seed or a malformed model block is a data error; keys nothing
+    reads are ignored."""
     run_cfg = read_json_object(path, "resolved config")
     missing = [k for k in ("name", "seed", "model", "manifest")
                if k not in run_cfg]
     if missing:
         raise DataError(f"{path} lacks {missing}")
+    if not _is_seed(run_cfg["seed"]):
+        raise DataError(f"{path}: seed must be a non-negative integer, "
+                        f"got {run_cfg['seed']!r}")
     try:
         return run_cfg, ModelConfig(**run_cfg["model"])
     except TypeError as err:
@@ -430,23 +379,6 @@ def _analysis_records(args, run_cfg, ckpt_path):
     return records, os.path.dirname(man)
 
 
-def _analysis_setting(args, run_cfg, key, fallback):
-    """The command-line flag if given (argparse has typed it), else the
-    run's resolved config, where a value of the wrong type is damage."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    block = run_cfg.get("analysis", {})
-    if not isinstance(block, dict):
-        raise DataError(f"{RESOLVED_CONFIG}: analysis must be an object, "
-                        f"got {block!r}")
-    value = block.get(key, fallback)
-    err = _analysis_type_error(key, value)
-    if err:
-        raise DataError(f"{RESOLVED_CONFIG}: {err}")
-    return value
-
-
 def _table_stages(model):
     """Stage taps reported in the four stage columns: the patch embedding
     is not a stage, and models with more than four taps report four evenly
@@ -461,19 +393,20 @@ def _table_stages(model):
 
 
 def _analyze_erf(args, model, run_cfg, records, root, out_dir):
-    n = int(_analysis_setting(args, run_cfg, "erf_inputs", 2))
-    threshold = float(_analysis_setting(args, run_cfg, "threshold", 0.01))
+    n, threshold = args.erf_inputs, args.threshold
     if not 0.0 <= threshold < 1.0:
-        raise UsageError(f"erf threshold {threshold} outside [0, 1)")
+        raise UsageError(f"--threshold {threshold} outside [0, 1)")
     stages = args.stages.split(",") if args.stages else _table_stages(model)
     known = model.stage_names() + ["output"]
     for s in stages:
         if s not in known:
             raise UsageError(f"unknown stage {s!r}; choose from {known}")
+    if len(set(stages)) != len(stages):
+        raise UsageError(f"--stages {args.stages!r} repeats a stage")
     if not 1 <= len(stages) <= 4:
         raise UsageError("erf reports between one and four stage columns")
     if n < 1 or n > len(records):
-        raise UsageError(f"erf_inputs {n} outside 1..{len(records)}")
+        raise UsageError(f"--erf-inputs {n} outside 1..{len(records)}")
     xs = [make_input(_load_volume(records[i], root), model.config)
           for i in range(n)]
     radii, ratios = {s: [] for s in stages}, []
@@ -505,12 +438,11 @@ def _load_volume(record, root):
 
 
 def _analyze_attn(args, model, run_cfg, records, root, out_dir):
-    n = int(_analysis_setting(args, run_cfg, "attn_inputs", 6))
-    k = int(_analysis_setting(args, run_cfg, "k", 5))
+    n, k = args.attn_inputs, args.k
     if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
+        raise UsageError(f"--k must be >= 1, got {k}")
     if n < 1:
-        raise UsageError(f"attn_inputs must be >= 1, got {n}")
+        raise UsageError(f"--attn-inputs must be >= 1, got {n}")
     per_bin = math.ceil(n / 3)
     chosen = []
     for b in _BIN_ORDER:
@@ -542,9 +474,9 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
 def _analyze_cka(args, ckpts, out_dir):
     first_model, first_cfg = _load_run_model(ckpts[0])
     records, root = _analysis_records(args, first_cfg, ckpts[0])
-    n = int(_analysis_setting(args, first_cfg, "cka_inputs", 8))
+    n = args.cka_inputs
     if n < 2 or n > len(records):
-        raise UsageError(f"cka_inputs {n} outside 2..{len(records)}")
+        raise UsageError(f"--cka-inputs {n} outside 2..{len(records)}")
     loaded = [(first_model, first_cfg)]
     for p in ckpts[1:]:
         loaded.append(_load_run_model(p))
@@ -787,19 +719,22 @@ def build_parser():
     p.add_argument("--stages", default=None,
                    help="comma-separated stage taps (erf; default: the "
                         "model's table stages)")
-    p.add_argument("--k", type=int, default=None,
-                   help="top-k attended tokens per query (attn; default 5)")
+    p.add_argument("--k", type=int, default=5,
+                   help="top-k attended tokens per query (attn; default "
+                        "%(default)s)")
     p.add_argument("--manifest", default=None,
                    help="manifest of analysis inputs (default: the "
                         "training manifest recorded in the run)")
-    p.add_argument("--erf-inputs", dest="erf_inputs", type=int,
-                   default=None, help="inputs averaged per ERF map")
-    p.add_argument("--attn-inputs", dest="attn_inputs", type=int,
-                   default=None, help="inputs sampled across risk bins")
-    p.add_argument("--cka-inputs", dest="cka_inputs", type=int,
-                   default=None, help="inputs per activation dump")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="ERF mask threshold (default 0.01)")
+    p.add_argument("--erf-inputs", dest="erf_inputs", type=int, default=2,
+                   help="inputs averaged per ERF map (default %(default)s)")
+    p.add_argument("--attn-inputs", dest="attn_inputs", type=int, default=6,
+                   help="inputs sampled across risk bins (default "
+                        "%(default)s)")
+    p.add_argument("--cka-inputs", dest="cka_inputs", type=int, default=8,
+                   help="inputs per activation dump (default %(default)s)")
+    p.add_argument("--threshold", type=float, default=ERF_THRESHOLD,
+                   help="ERF mask threshold in [0, 1) (default "
+                        "%(default)s)")
     p.add_argument("--out", default=None,
                    help="output directory (default: beside checkpoint)")
     p.set_defaults(func=cmd_analyze)

@@ -154,20 +154,14 @@ def make_input(volume, model_cfg):
     return out[None].astype(np.float32)
 
 
-def samples_from_records(records, model_cfg, target="pkc", root=None):
-    """Load + preprocess every manifest record into Samples.
-
-    target "pkc" regresses the continuous soft label; "binary" trains the
-    auxiliary 0/1 task thresholded at 0.5.
-    """
-    if target not in ("pkc", "binary"):
-        raise ValueError(f"unknown target {target!r}")
+def samples_from_records(records, model_cfg, root=None):
+    """Load + preprocess every manifest record into Samples labelled with
+    the continuous soft label p_kc."""
     out = []
     for rec in records:
         vol = read_volume(os.path.join(root or "", rec.volume_path))
-        y = rec.p_kc if target == "pkc" else float(rec.p_kc > 0.5)
         out.append(Sample(rec.patient_id, rec.eye_id,
-                          make_input(vol, model_cfg), y))
+                          make_input(vol, model_cfg), rec.p_kc))
     return out
 
 

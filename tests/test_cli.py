@@ -58,7 +58,6 @@ def _write_config(path, out_dir, manifest, preset, master, n_folds,
         "train": {"lr_max": 1e-3, "lr_min": 2e-4, "max_epochs": max_epochs,
                   "physical_batch": 8, "accumulation_steps": 1,
                   "patience": 10},
-        "analysis": {"erf_inputs": 2, "attn_inputs": 6, "cka_inputs": 5},
         "n_folds": n_folds,
     }
     cfg.update(extra or {})
@@ -130,9 +129,10 @@ class TestPhantom:
 
     @pytest.mark.parametrize("flags", [
         ["--sparsity", "0"], ["--sparsity", "1"], ["--noise", "-1"],
-        ["--noise", "nan"], ["--amp-lo", "-0.5"],
+        ["--noise", "nan"], ["--amp-lo", "-0.5"], ["--shape", "0,32,32"],
+        ["--seed", "-1"],
     ], ids=["zero_sparsity", "unit_sparsity", "negative_noise", "nan_noise",
-            "negative_amplitude"])
+            "negative_amplitude", "zero_axis", "negative_seed"])
     def test_bad_spec_exits_one_before_writing(self, tmp_path, flags):
         out = tmp_path / "x"
         assert cli.main(["phantom", "--n", "2", "--seed", "1", "--out",
@@ -156,7 +156,7 @@ class TestSeedStreams:
         seeds = {s: cli.derive_seed(7, s) for s in cli.SEED_STREAMS}
         assert len(set(seeds.values())) == len(cli.SEED_STREAMS)
         assert seeds == {s: cli.derive_seed(7, s) for s in cli.SEED_STREAMS}
-        assert cli.derive_seed(8, "data") != seeds["data"]
+        assert cli.derive_seed(8, "init") != seeds["init"]
 
 
 class TestTrain:
@@ -271,17 +271,24 @@ class TestTrain:
             cfg["model"] = dict(cnn, **change)
             bad.write_text(json.dumps(cfg))
             assert cli.main(["train", "--config", str(bad)]) == 1, change
-        cfg["model"] = {"preset": "cnn3d"}
-        # analyze reads these from --stages and --bootstrap-n only
-        for key, value in (("stages", "stage1"), ("bootstrap_n", 500)):
-            cfg["analysis"] = {key: value}
-            bad.write_text(json.dumps(cfg))
-            assert cli.main(["train", "--config", str(bad)]) == 1, key
-        for key, value in (("threshold", "abc"), ("threshold", True),
-                           ("erf_inputs", 2.5), ("k", "5")):
-            cfg["analysis"] = {key: value}
-            bad.write_text(json.dumps(cfg))
-            assert cli.main(["train", "--config", str(bad)]) == 1, key
+
+    @pytest.mark.parametrize("change", [
+        {"analysis": {"erf_inputs": 2}},
+        {"target": "pkc"},
+        {"dataset": {"phantom": {"n": 9}}},
+        {"dataset": {"manifest": "data/manifest.csv", "root": "data"}},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"out_dir": 5},
+    ], ids=["analysis", "target", "phantom_dataset", "extra_dataset_key",
+            "negative_seed", "fractional_seed", "numeric_out_dir"])
+    def test_rejected_config_exits_one_before_writing(self, workdir,
+                                                      tmp_path, change):
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", str(workdir / "data" / "manifest.csv"),
+                      "cnn3d", 1, n_folds=3, max_epochs=1, extra=change)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert os.listdir(tmp_path) == ["exp.json"]
 
     def test_truncated_volume_exits_two(self, tmp_path):
         (tmp_path / "vol.volb").write_bytes(b"VOLB\x01")
@@ -348,38 +355,13 @@ class TestTrain:
         assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
                          "--parallel-folds", "2"]) == 3
 
-    def test_phantom_dataset_block(self, tmp_path):
-        cfg = tmp_path / "exp.json"
-        _write_config(cfg, "run", "unused", "vit3d", 33, n_folds=3,
-                      max_epochs=1,
-                      extra={"dataset": {"phantom": {"n": 9}}})
-        assert cli.main(["train", "--config", str(cfg)]) == 0
-        assert (tmp_path / "run" / "data" / "manifest.csv").is_file()
-        assert (tmp_path / "run" / "pooled_predictions.csv").is_file()
-
-    @pytest.mark.parametrize("block", [
-        {"n": 9, "shape": [32, 32]},
-        {"n": 9, "shape": [0, 32, 32]},
-        {"n": 9, "sparsity": 0},
-        {"n": 9, "noise": -1},
-        {"n": 9, "amplitude": [0.0, "one"]},
-        9,
-    ], ids=["two_axes", "zero_axis", "zero_sparsity", "negative_noise",
-            "text_amplitude", "not_an_object"])
-    def test_bad_phantom_block_exits_one(self, tmp_path, block):
-        cfg = tmp_path / "exp.json"
-        _write_config(cfg, "run", "unused", "vit3d", 33, n_folds=3,
-                      max_epochs=1, extra={"dataset": {"phantom": block}})
-        assert cli.main(["train", "--config", str(cfg)]) == 1
-        assert not (tmp_path / "run" / "data").exists()
-
 
 class TestAnalyzeErf:
     def test_cnn_row_fills_all_four_stages(self, workdir):
         run = workdir / "runs" / "cnn3d"
         assert cli.main(["analyze", "--checkpoint",
-                         str(run / "fold0.ckpt"), "--instrument",
-                         "erf"]) == 0
+                         str(run / "fold0.ckpt"), "--instrument", "erf",
+                         "--erf-inputs", "2"]) == 0
         header, rows = _read_csv(run / "erf_table.csv")
         assert header == ["model", "dim", "stage1", "stage2", "stage3",
                           "stage4", "et_ratio"]
@@ -419,27 +401,26 @@ class TestAnalyzeErf:
                          str(run / "fold0.ckpt"), "--instrument", "erf",
                          "--stages", "stage9"]) == 1
 
-    @pytest.mark.parametrize("source,value", [
-        ("flag", "1.0"), ("flag", "1.5"), ("flag", "-0.5"), ("flag", "nan"),
-        ("config", 1.0), ("config", -0.5),
-    ], ids=["flag_one", "flag_above_one", "flag_negative", "flag_nan",
-            "config_one", "config_negative"])
-    def test_threshold_outside_unit_interval_exits_one(
-            self, workdir, tmp_path, source, value):
+    def test_repeated_stage_exits_one_before_writing(self, workdir,
+                                                     tmp_path):
         run = tmp_path / "run"
         shutil.copytree(workdir / "runs" / "cnn3d", run)
-        args = ["analyze", "--checkpoint", str(run / "fold0.ckpt"),
-                "--instrument", "erf", "--manifest",
-                str(workdir / "data" / "manifest.csv"),
-                "--out", str(tmp_path / "out")]
-        if source == "flag":
-            args += ["--threshold", value]
-        else:
-            path = run / "resolved_config.json"
-            cfg = json.loads(path.read_text())
-            cfg["analysis"]["threshold"] = value
-            path.write_text(json.dumps(cfg))
-        assert cli.main(args) == 1
+        before = _tree_hashes(run)
+        assert cli.main(["analyze", "--checkpoint", str(run / "fold0.ckpt"),
+                         "--instrument", "erf", "--stages", "stage1,stage1",
+                         "--manifest",
+                         str(workdir / "data" / "manifest.csv")]) == 1
+        assert _tree_hashes(run) == before
+
+    @pytest.mark.parametrize("value", ["1.0", "1.5", "-0.5", "nan"],
+                             ids=["flag_one", "flag_above_one",
+                                  "flag_negative", "flag_nan"])
+    def test_threshold_outside_unit_interval_exits_one(
+            self, workdir, tmp_path, value):
+        assert cli.main(["analyze", "--checkpoint",
+                         str(workdir / "runs" / "cnn3d" / "fold0.ckpt"),
+                         "--instrument", "erf", "--threshold", value,
+                         "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out" / "erf_table.csv").exists()
 
 
@@ -448,7 +429,7 @@ class TestAnalyzeAttn:
         run = workdir / "runs" / "vit3d"
         assert cli.main(["analyze", "--checkpoint",
                          str(run / "fold0.ckpt"), "--instrument", "attn",
-                         "--k", "3"]) == 0
+                         "--k", "3", "--attn-inputs", "6"]) == 0
         header, rows = _read_csv(run / "attn_table.csv")
         assert header == ["model", "dim", "bin", "mean", "sd", "median",
                           "pct_gt20", "max"]
@@ -490,7 +471,7 @@ class TestAnalyzeCka:
         run = workdir / "runs" / "vit3d"
         assert cli.main(["analyze", "--checkpoint",
                          str(run / "fold0.ckpt"), str(run / "fold1.ckpt"),
-                         "--instrument", "cka"]) == 0
+                         "--instrument", "cka", "--cka-inputs", "5"]) == 0
         header, rows = _read_csv(run / "cka_matrix.csv")
         ids = header[1:]
         assert ids == ["block1", "block2"]
@@ -518,6 +499,27 @@ class TestAnalyzeCka:
                           "fold0.ckpt").read_bytes())
         assert cli.main(["analyze", "--checkpoint", str(bare),
                          "--instrument", "cka"]) == 2
+
+
+class TestAnalyzeFlags:
+    @pytest.mark.parametrize("preset,instrument,flag", [
+        ("cnn3d", "erf", ("--erf-inputs", "0")),
+        ("cnn3d", "erf", ("--erf-inputs", str(N_RECORDS + 1))),
+        ("vit3d", "attn", ("--k", "0")),
+        ("vit3d", "attn", ("--attn-inputs", "0")),
+        ("vit3d", "cka", ("--cka-inputs", "1")),
+    ], ids=["erf_inputs_zero", "erf_inputs_above_cohort", "k_zero",
+            "attn_inputs_zero", "cka_inputs_one"])
+    def test_out_of_range_count_exits_one(self, workdir, tmp_path, preset,
+                                          instrument, flag):
+        run = workdir / "runs" / preset
+        ckpts = [str(run / "fold0.ckpt")]
+        if instrument == "cka":
+            ckpts.append(str(run / "fold1.ckpt"))
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--checkpoint", *ckpts, "--instrument",
+                         instrument, *flag, "--out", str(out)]) == 1
+        assert os.listdir(out) == []
 
 
 class TestReport:
@@ -685,43 +687,35 @@ class TestDamagedRun:
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(tmp_path / "rep")]) == 2
 
-
-    @pytest.mark.parametrize("instrument,analysis,bad_flag", [
-        ("erf", {"threshold": "abc"}, ("--threshold", "1.5")),
-        ("erf", {"erf_inputs": 2.5}, ("--erf-inputs", "0")),
-        ("erf", {"threshold": True}, ("--threshold", "-1")),
-        ("erf", ["threshold", 0.01], None),
-        ("attn", {"k": "5"}, ("--k", "0")),
-        ("attn", {"attn_inputs": None}, ("--attn-inputs", "0")),
-        ("attn", "bad", None),
-        ("cka", {"cka_inputs": "4"}, ("--cka-inputs", "1")),
-        ("cka", None, None),
-    ], ids=["erf_text_threshold", "erf_fractional_inputs",
-            "erf_bool_threshold", "erf_analysis_list", "attn_text_k",
-            "attn_null_inputs", "attn_analysis_text", "cka_text_inputs",
-            "cka_analysis_null"])
-    def test_damaged_analysis_value_exits_two(self, workdir, tmp_path,
-                                              instrument, analysis,
-                                              bad_flag):
+    @pytest.mark.parametrize("seed", ["x", -3, 1.5],
+                             ids=["text", "negative", "fractional"])
+    def test_bad_seed_exits_two(self, workdir, tmp_path, seed):
         run = tmp_path / "run"
-        preset = "cnn3d" if instrument == "erf" else "vit3d"
-        shutil.copytree(workdir / "runs" / preset, run)
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
         path = run / "resolved_config.json"
         cfg = json.loads(path.read_text())
-        cfg["analysis"] = analysis
+        cfg["seed"] = seed
         path.write_text(json.dumps(cfg))
-        ckpts = [str(run / "fold0.ckpt")]
-        if instrument == "cka":
-            ckpts.append(str(run / "fold1.ckpt"))
-        args = ["analyze", "--checkpoint", *ckpts, "--instrument",
-                instrument, "--manifest",
-                str(workdir / "data" / "manifest.csv"),
-                "--out", str(tmp_path / "out")]
-        assert cli.main(args) == 2
-        if bad_flag is not None:
-            # the flag replaces the damaged value, and a bad flag is still
-            # a usage error
-            assert cli.main(args + list(bad_flag)) == 1
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+        assert cli.main(["report", "--runs", str(run), "--ci", "--out",
+                         str(tmp_path / "rep")]) == 2
+
+    def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,
+                                            capsys):
+        """A run written while configs still held analysis settings and a
+        target analyzes with the flag defaults and reports as before."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        cfg.update(analysis={"erf_inputs": 1, "threshold": 0.5},
+                   target="pkc")
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert self._analyze_erf(workdir, tmp_path, run) == 0
+        assert "over 2 inputs" in capsys.readouterr().out
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(tmp_path / "rep")]) == 0
 
 
 class TestHelpGolden:
@@ -742,3 +736,19 @@ class TestHelpGolden:
     def test_exit_codes_documented(self):
         text = cli.build_parser().format_help()
         assert "0 success, 1 usage error, 2 data error, 3 numeric" in text
+
+
+class TestReadme:
+    def test_config_example_loads(self, tmp_path):
+        """The README's experiment config is valid as written."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as fh:
+            section = fh.read().split("## Experiment config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "exp.json"
+        path.write_text(block)
+        cfg = cli.load_experiment(str(path))
+        assert set(json.loads(block)) == set(
+            cli.ExperimentConfig.__dataclass_fields__)
+        cli.model_from_block(cfg.model)
+        cli.train_config_from_block(cfg.train, 0)
