@@ -4,6 +4,7 @@ centered kernel alignment, and the ADMP activation-dump format."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -73,31 +74,31 @@ def _tap_scalar(result, input_shape, tap):
     return tsum(st.data)
 
 
-def erf_map(model, x, tap="output", threshold=ERF_THRESHOLD):
-    """One-backward-pass effective receptive field of ``tap``.
+def erf_map(model, x, taps=("output",), threshold=ERF_THRESHOLD):
+    """Effective receptive fields of ``taps``, one ErfMap per tap.
 
     ``x`` is a single unbatched input (channels, *spatial). The model only
     needs a ``forward`` in the ForwardResult protocol; et_ratio is filled
-    when it also carries a ``config``. The parameters a model lists in
-    ``named_parameters`` are frozen for the call, so the backward pass
+    when it also carries a ``config``. A model with ``frozen()`` runs
+    frozen, so each tap's backward pass, on the tape of one forward,
     computes the input gradient alone and leaves every ``.grad`` as it was.
     """
     x = np.asarray(x)
     xt = Tensor(x[None], requires_grad=True)
     cfg = getattr(model, "config", None)
     shape = x.shape[1:] if cfg is None else cfg.input_shape
-    params = ([p for _, p in model.named_parameters()]
-              if hasattr(model, "named_parameters") else [])
-    flags = [p.requires_grad for p in params]
-    try:
-        for p in params:
-            p.requires_grad = False
-        result = model.forward(xt, record_stages=tap != "output")
-        backward(_tap_scalar(result, shape, tap))
-    finally:
-        for p, flag in zip(params, flags):
-            p.requires_grad = flag
-    grad = np.abs(np.asarray(xt.grad, dtype=np.float64))[0].sum(axis=0)
+    maps = []
+    with getattr(model, "frozen", contextlib.nullcontext)():
+        result = model.forward(xt, record_stages=True)
+        for tap in taps:
+            xt.grad = None
+            backward(_tap_scalar(result, shape, tap))
+            grad = np.abs(np.asarray(xt.grad, dtype=np.float64))[0]
+            maps.append(_erf(grad.sum(axis=0), tap, threshold, cfg))
+    return maps
+
+
+def _erf(grad, tap, threshold, cfg):
     gmax = float(grad.max())
     if gmax <= 0.0:
         raise NumericError(f"all-zero gradient at tap {tap!r}: "

@@ -44,6 +44,7 @@ from .labels import (
     GmmModel,
     RiskBin,
     read_manifest,
+    stratified_patient_split,
     write_manifest,
 )
 from .metrics import (
@@ -54,7 +55,7 @@ from .metrics import (
     stratified_sens_spec,
 )
 from .models import ModelConfig, build_model, desk_config, paper_config
-from .tensor import NumericError, ShapeError, no_grad
+from .tensor import NumericError, ShapeError
 from .training import (
     HISTORY_HEADER,
     TrainConfig,
@@ -109,9 +110,12 @@ def derive_seed(master, stream):
     return int(ss.generate_state(1)[0])
 
 
+def json_bytes(payload):
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
 def write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    write_atomic(path, text.encode())
+    write_atomic(path, json_bytes(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +301,20 @@ def _write_fold(out_dir, k, result, model, rows):
               PREDICTIONS_HEADER, rows)
 
 
+def _check_run_dir(out_dir, resolved):
+    """A run directory holds one run: train writes into ``out_dir`` only
+    when it is absent or empty, or when its resolved config is byte-equal
+    to ``resolved`` (a rerun, or ``--fold K`` adding to its own run)."""
+    path = os.path.join(out_dir, RESOLVED_CONFIG)
+    if not os.path.exists(out_dir) or os.path.isdir(out_dir) and (
+            not os.listdir(out_dir) or os.path.isfile(path)
+            and read_bytes(path, "resolved config") == resolved):
+        return
+    raise UsageError(f"{out_dir} holds another run; train writes only into "
+                     f"an absent or empty directory, or reruns the run "
+                     f"whose {RESOLVED_CONFIG} it would write")
+
+
 def cmd_train(args):
     if args.parallel_folds < 1:
         raise UsageError(f"--parallel-folds must be >= 1, "
@@ -311,18 +329,22 @@ def cmd_train(args):
                                         derive_seed(cfg.seed, "init"))
     manifest = os.path.join(base, cfg.dataset["manifest"])
     records = read_manifest(manifest)
-    samples = samples_from_records(records, model_cfg,
-                                   root=os.path.dirname(manifest))
+    split = stratified_patient_split(records, n_folds=cfg.n_folds,
+                                     seed=train_cfg.seed)
     out_dir = os.path.join(base, cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, RESOLVED_CONFIG), {
+    resolved = json_bytes({
         "name": name, "seed": cfg.seed, "n_folds": cfg.n_folds,
         "model": asdict(model_cfg), "train": asdict(train_cfg),
         "manifest": os.path.relpath(manifest, out_dir),
     })
+    _check_run_dir(out_dir, resolved)
+    samples = samples_from_records(records, model_cfg,
+                                   root=os.path.dirname(manifest))
+    os.makedirs(out_dir, exist_ok=True)
+    write_atomic(os.path.join(out_dir, RESOLVED_CONFIG), resolved)
     folds = range(cfg.n_folds) if args.fold is None else [args.fold]
-    outs = cross_validate(records, samples, model_cfg, train_cfg,
-                          cfg.n_folds, folds, args.parallel_folds)
+    outs = cross_validate(records, samples, model_cfg, train_cfg, split,
+                          folds, args.parallel_folds)
     pooled = {}
     for k, (res, model, test_idx, preds) in zip(folds, outs):
         rows = _prediction_rows(records, test_idx, preds, k)
@@ -412,8 +434,7 @@ def _analyze_erf(args, model, run_cfg, records, root, out_dir):
     radii, ratios = {s: [] for s in stages}, []
     mean_maps = {s: None for s in stages}
     for x in xs:
-        for s in stages:
-            m = erf_map(model, x, tap=s, threshold=threshold)
+        for s, m in zip(stages, erf_map(model, x, stages, threshold)):
             radii[s].append(m.erf_radius)
             mean_maps[s] = (m.normalized if mean_maps[s] is None
                             else mean_maps[s] + m.normalized)
@@ -424,6 +445,7 @@ def _analyze_erf(args, model, run_cfg, records, root, out_dir):
         row.append(float(np.mean(radii[stages[i]]))
                    if i < len(stages) else None)
     row.append(float(np.mean(ratios)) if ratios else None)
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "erf_table.csv"), TABLE4_HEADER, [row])
     for s in stages:
         write_npy(os.path.join(out_dir, f"erf_map_{s}.npy"),
@@ -451,11 +473,11 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
     if not chosen:
         raise DataError("manifest has no records to analyze")
     labeled = []
-    for i in sorted(chosen):
-        x = make_input(_load_volume(records[i], root), model.config)
-        with no_grad():
+    with model.frozen():
+        for i in sorted(chosen):
+            x = make_input(_load_volume(records[i], root), model.config)
             result = model.forward(x[None], record_attention=True)
-        labeled.append((records[i].p_kc, result.attention))
+            labeled.append((records[i].p_kc, result.attention))
     stats = attention_distance_stats(labeled, k=k)
     rows = []
     for b in _BIN_ORDER:
@@ -465,6 +487,7 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
         rows.append([run_cfg["name"], model.config.input_dims, b,
                      st["mean"], st["sd"], st["median"], st["pct_gt20"],
                      st["max"]])
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "attn_table.csv"), TABLE5_HEADER, rows)
     print(f"attn: {len(labeled)} inputs, k={k}, {len(rows)} bins -> "
           f"{os.path.join(out_dir, 'attn_table.csv')}")
@@ -483,12 +506,13 @@ def _analyze_cka(args, ckpts, out_dir):
     same_arch = all(cfg["model"] == first_cfg["model"] and
                     cfg["name"] == first_cfg["name"]
                     for _, cfg in loaded)
+    os.makedirs(out_dir, exist_ok=True)
     dump_paths = []
     for idx, ((model, run_cfg), ckpt) in enumerate(zip(loaded, ckpts)):
         x = np.stack(
             [make_input(_load_volume(records[i], root), model.config)
              for i in range(n)], axis=0)
-        with no_grad():
+        with model.frozen():
             result = model.forward(x, record_stages=True)
         prefix = "" if same_arch else f"{idx}:{run_cfg['name']}:"
         layers = {f"{prefix}{tap.name}":
@@ -518,7 +542,6 @@ def _analyze_cka(args, ckpts, out_dir):
 def cmd_analyze(args):
     ckpts = args.checkpoint
     out_dir = args.out or os.path.dirname(os.path.abspath(ckpts[0]))
-    os.makedirs(out_dir, exist_ok=True)
     if args.instrument == "cka":
         return _analyze_cka(args, ckpts, out_dir)
     if len(ckpts) != 1:

@@ -577,6 +577,9 @@ class ModelInstance:
     def named_parameters(self):
         return self.net.named_parameters()
 
+    def frozen(self):
+        return self.net.frozen()
+
     def named_buffers(self):
         return self.net.named_buffers()
 

@@ -9,6 +9,7 @@ an interior axis is reshaped so the add happens on a suffix.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -61,14 +62,13 @@ class Module:
                         yield f"{name}.{i}", item
 
     def named_parameters(self, prefix=""):
-        """Depth-first (name, Tensor) pairs for every requires_grad Tensor
-        attribute, in deterministic sorted-attribute order."""
+        """Depth-first (name, Tensor) pairs for every Tensor attribute,
+        frozen or not, in deterministic sorted-attribute order."""
         out = []
         for name in sorted(vars(self)):
             value = vars(self)[name]
-            full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
-                out.append((full, value))
+            if isinstance(value, Tensor):
+                out.append((f"{prefix}{name}", value))
         for name, child in self._children():
             out.extend(child.named_parameters(prefix=f"{prefix}{name}."))
         return out
@@ -82,6 +82,20 @@ class Module:
         for name, child in self._children():
             out.extend(child.named_buffers(prefix=f"{prefix}{name}."))
         return out
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """No parameter requires a gradient within this scope, so a forward
+        records no tape node for them; each flag is restored on exit."""
+        params = [p for _, p in self.named_parameters()]
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
 
     def set_training(self, flag):
         self.training = bool(flag)
@@ -168,7 +182,8 @@ class BatchNorm(Module):
                                   + m * batch_mean).astype(x.data.dtype)
             rb["running_var"] = ((1 - m) * rb["running_var"]
                                  + m * batch_var).astype(x.data.dtype)
-            return batch_norm(x, self.gamma, self.beta, eps=self.eps)
+            return batch_norm(x, self.gamma, self.beta, eps=self.eps,
+                              stats=(batch_mean, batch_var), frozen=False)
         stats = (self._buffers["running_mean"], self._buffers["running_var"])
         return batch_norm(x, self.gamma, self.beta, eps=self.eps, stats=stats)
 

@@ -5,16 +5,14 @@ Values are numpy arrays, float32 by default. Build leaves with
 suffix alignment: operand shapes must be equal, scalar, or one shape must
 be a suffix of the other. Every primitive checks its output for NaN/Inf.
 
-A primitive records a tape node when an input requires a gradient,
-unless the calling thread is inside ``no_grad()``: eval forwards run
-there and keep nothing for a backward pass. The conv3d and matmul VJPs
+A primitive records a tape node if and only if one of its inputs
+requires a gradient, so a forward of a model in ``Module.frozen()`` on
+an input that needs none records nothing. The conv3d and matmul VJPs
 compute only the gradients of inputs that require one.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import weakref
 
 import numpy as np
@@ -161,32 +159,10 @@ def _finite(arr, op):
     return arr
 
 
-class _GradMode(threading.local):
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Within this scope the calling thread's primitives record no tape:
-    every output is a detached tensor with no node and no VJP closure.
-    The scope is per thread, so a fold predicting on one thread does not
-    detach a fold training on another."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = prev
-
-
 def _make(op, out_data, inputs, vjp):
     out = Tensor.__new__(Tensor)
     out.data = _finite(out_data, op)
-    out.requires_grad = _grad_mode.enabled and \
-        any(t.requires_grad for t in inputs)
+    out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
     out.node = Node(op, inputs, out, vjp) if out.requires_grad else None
     return out
@@ -324,9 +300,13 @@ def softmax(x, axis=-1):
     return _make("softmax", out, (x,), vjp)
 
 
-def _normalize(op, x, gamma, beta, axis, over, eps, stats=None):
-    """Standardize ``x`` over the axes ``over`` (or with the frozen
-    ``stats=(mean, var)``), then scale/shift along the feature ``axis``."""
+def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
+               frozen=False):
+    """Standardize ``x`` with its mean and variance over the axes ``over``,
+    then scale/shift along the feature ``axis``. ``stats=(mean, var)``
+    gives the statistics per feature instead: frozen ones are constants
+    to the VJP, otherwise they are x's own over ``over``, precomputed, and
+    the VJP differentiates through them."""
     if gamma.shape != x.shape[axis:axis + 1] or beta.shape != gamma.shape:
         raise ShapeError(f"{op}: gamma/beta must have shape "
                          f"{x.shape[axis:axis + 1]}")
@@ -346,12 +326,12 @@ def _normalize(op, x, gamma, beta, axis, over, eps, stats=None):
 
     def vjp(g):
         gx_hat = g * gam
-        if stats is None:
+        if frozen:
+            gx = inv * gx_hat
+        else:
             m1 = gx_hat.mean(axis=over, keepdims=True)
             m2 = (gx_hat * xhat).mean(axis=over, keepdims=True)
             gx = inv * (gx_hat - m1 - xhat * m2)
-        else:
-            gx = inv * gx_hat
         return gx, (g * xhat).sum(axis=params), g.sum(axis=params)
 
     return _make(op, out, (x, gamma, beta), vjp)
@@ -363,17 +343,20 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _normalize("layer_norm", x, gamma, beta, last, (last,), eps)
 
 
-def batch_norm(x, gamma, beta, eps=1e-5, stats=None):
+def batch_norm(x, gamma, beta, eps=1e-5, stats=None, frozen=True):
     """Channel-axis-1 batch normalization.
 
-    Training form computes biased statistics over every axis but 1 and
-    differentiates through them. Pass ``stats=(mean, var)`` for the
-    inference form with frozen statistics.
+    The training form computes biased statistics over every axis but 1
+    and differentiates through them. ``stats=(mean, var)`` gives
+    per-channel statistics: by default the frozen ones of the inference
+    form, or with ``frozen=False`` x's own batch statistics, already
+    computed by the caller, for the training form.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects (N, C, ...) input")
     over = (0,) + tuple(range(2, x.ndim))
-    return _normalize("batch_norm", x, gamma, beta, 1, over, eps, stats)
+    return _normalize("batch_norm", x, gamma, beta, 1, over, eps, stats,
+                      frozen=frozen and stats is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .labels import stratified_patient_split
 from .models import build_model
-from .tensor import NumericError, Tensor, backward, mul, no_grad, sub, tsum
+from .tensor import NumericError, Tensor, backward, mul, sub, tsum
 from .volume import crop_or_pad, extract_bscan, read_volume, zscore
 
 
@@ -179,12 +178,12 @@ def _stack(samples, idx):
 
 
 def predict(model, samples, batch=16):
-    """Eval-mode predictions for a list of Samples, recorded on no tape."""
+    """Eval-mode predictions for a list of Samples, from the frozen model."""
     preds = []
-    for start in range(0, len(samples), batch):
-        idx = range(start, min(start + batch, len(samples)))
-        x, _ = _stack(samples, list(idx))
-        with no_grad():
+    with model.frozen():
+        for start in range(0, len(samples), batch):
+            idx = range(start, min(start + batch, len(samples)))
+            x, _ = _stack(samples, list(idx))
             preds.append(model.forward(Tensor(x)).pred.data)
     return np.concatenate(preds) if preds else np.zeros(0, np.float32)
 
@@ -254,23 +253,23 @@ def train_fold(model, train_samples, val_samples, cfg):
 HISTORY_HEADER = ["epoch", "train_mse", "val_mse", "lr"]
 
 
-def cross_validate(records, samples, model_cfg, train_cfg, n_folds=5,
+def cross_validate(records, samples, model_cfg, train_cfg, split,
                    folds=None, n_workers=1):
-    """Patient-grouped k-fold: fold k of the split is the test set, fold
-    (k+1) mod n_folds the validation set, the rest train, and the model
-    and permutation seeds are offset by k. Each requested fold (default:
+    """Patient-grouped k-fold over ``split``, the per-fold record indices
+    of ``stratified_patient_split``: fold k is the test set, fold (k+1)
+    mod len(split) the validation set, the rest train, and the model and
+    permutation seeds are offset by k. Each requested fold (default:
     every fold) trains from scratch, on the calling thread when n_workers
     is 1 and otherwise on a pool of n_workers threads; folds share no
     state, so n_workers never changes a result. Returns (FoldResult,
     model, test_idx, preds) per requested fold, in order."""
     if len(records) != len(samples):
         raise ValueError("records/samples misaligned")
+    n_folds = len(split)
     folds = range(n_folds) if folds is None else folds
     for k in folds:
         if not 0 <= k < n_folds:
             raise ValueError(f"fold {k} outside 0..{n_folds - 1}")
-    split = stratified_patient_split(records, n_folds=n_folds,
-                                     seed=train_cfg.seed)
 
     def run(k):
         test_idx = split[k]

@@ -794,14 +794,14 @@ def test_criterion_09_mechanistic_reports(desk_e2e):
 
         previous = None
         for threshold in (0.01, 0.05, 0.2):
-            emap = erf_map(model, x, tap="output", threshold=threshold)
+            [emap] = erf_map(model, x, ["output"], threshold=threshold)
             if previous is not None:
                 assert not (emap.mask & ~previous.mask).any()
                 assert emap.erf_radius <= previous.erf_radius
                 assert emap.erf_size <= previous.erf_size
             previous = emap
 
-        emap = erf_map(model, x, tap="output", threshold=0.01)
+        [emap] = erf_map(model, x, ["output"], threshold=0.01)
         rng = np.random.default_rng(5)
         mask_idx = np.argwhere(emap.mask)
         picks = mask_idx[rng.choice(len(mask_idx), size=4, replace=False)]
@@ -812,7 +812,7 @@ def test_criterion_09_mechanistic_reports(desk_e2e):
 
         _fd_check_erf(model, x, emap, predict_scalar, picks, tol=1e-3)
 
-        emap2 = erf_map(model, x, tap="stage2", threshold=0.01)
+        [emap2] = erf_map(model, x, ["stage2"], threshold=0.01)
 
         def stage2_center(arr):
             res = model.forward(Tensor(arr[None]), training=False,

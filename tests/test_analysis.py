@@ -53,7 +53,7 @@ class _MeanStub:
 class TestErfMap:
     def test_uniform_gradient_covers_volume_with_unit_ratio(self):
         x = np.random.default_rng(0).normal(size=(1, 32, 32, 32))
-        erf = erf_map(_MeanStub(), x)
+        [erf] = erf_map(_MeanStub(), x)
         assert erf.mask.all()
         assert erf.erf_size == 32 ** 3
         assert np.allclose(erf.normalized, 1.0)
@@ -64,22 +64,23 @@ class TestErfMap:
     def test_threshold_is_strict_and_relative(self):
         w = np.full((6, 6, 6), 0.001)
         w[3, 3, 3] = 1.0
-        erf = erf_map(_LinearStub(w), np.zeros((1, 6, 6, 6)))
+        [erf] = erf_map(_LinearStub(w), np.zeros((1, 6, 6, 6)))
         assert erf.erf_size == 1 and erf.mask[3, 3, 3]
         assert erf.erf_radius == 0.0
         # weights exactly at the threshold stay excluded (strict >)
         w2 = np.full((6, 6, 6), 0.01)
         w2[3, 3, 3] = 1.0
-        assert erf_map(_LinearStub(w2), np.zeros((1, 6, 6, 6))).erf_size == 1
+        assert erf_map(_LinearStub(w2),
+                       np.zeros((1, 6, 6, 6)))[0].erf_size == 1
 
     def test_mask_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         w = rng.uniform(size=(5, 5, 5))
         x = np.zeros((1, 5, 5, 5))
         stub = _LinearStub(w)
-        m_loose = erf_map(stub, x, threshold=0.01).mask
-        m_mid = erf_map(stub, x, threshold=0.05).mask
-        m_tight = erf_map(stub, x, threshold=0.2).mask
+        m_loose = erf_map(stub, x, threshold=0.01)[0].mask
+        m_mid = erf_map(stub, x, threshold=0.05)[0].mask
+        m_tight = erf_map(stub, x, threshold=0.2)[0].mask
         assert (m_mid <= m_loose).all() and (m_tight <= m_mid).all()
 
     def test_translation_equivariance(self):
@@ -89,8 +90,8 @@ class TestErfMap:
         shifted = np.zeros((8, 8, 8))
         shifted[4, 3, 2:5] = blob
         x = np.zeros((1, 8, 8, 8))
-        a = erf_map(_LinearStub(w), x)
-        b = erf_map(_LinearStub(shifted), x)
+        [a] = erf_map(_LinearStub(w), x)
+        [b] = erf_map(_LinearStub(shifted), x)
         assert a.erf_radius == pytest.approx(b.erf_radius, abs=1e-12)
         assert np.array_equal(np.roll(a.mask, (3, 2, 1), axis=(0, 1, 2)),
                               b.mask)
@@ -102,7 +103,7 @@ class TestErfMap:
         model = build_model(cfg, seed=3, dtype=np.float64)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 8, 8, 8))
-        grad = erf_map(model, x, "output").gradient
+        grad = erf_map(model, x, ["output"])[0].gradient
 
         def f(arr):
             return float(model.forward(Tensor(arr[None])).pred.data[0])
@@ -123,7 +124,9 @@ class TestErfMap:
         model = build_model(cfg, seed=9)
         x = np.random.default_rng(10).normal(
             size=(1,) + cfg.input_shape).astype(np.float32)
-        got = erf_map(model, x, tap).gradient
+        count = model.param_count()
+        got = erf_map(model, x, [tap])[0].gradient
+        assert model.param_count() == count > 0
         params = [p for _, p in model.named_parameters()]
         assert all(p.grad is None and p.requires_grad for p in params)
         # the same map from a call that also computes every weight gradient
@@ -136,9 +139,29 @@ class TestErfMap:
 
     def test_parameters_thawed_after_a_failed_call(self):
         model = build_model(desk_config("cnn3d"), seed=0)
+        count = model.param_count()
         with pytest.raises(ShapeError):
-            erf_map(model, np.zeros((1, 32, 32, 32), np.float32), "stage9")
+            erf_map(model, np.random.default_rng(1).normal(
+                size=(1, 32, 32, 32)).astype(np.float32), ["stage1", "stage9"])
+        assert model.param_count() == count > 0
         assert all(p.requires_grad for _, p in model.named_parameters())
+
+    @pytest.mark.parametrize("name", ["cnn3d", "swin3d"])
+    def test_one_call_over_all_taps_equals_single_tap_calls(self, name):
+        cfg = desk_config(name)
+        model = build_model(cfg, seed=11)
+        x = np.random.default_rng(12).normal(
+            size=(1,) + cfg.input_shape).astype(np.float32)
+        taps = model.stage_names() + ["output"]
+        maps = erf_map(model, x, taps, threshold=0.05)
+        assert len(maps) == len(taps)
+        for tap, got in zip(taps, maps):
+            [want] = erf_map(model, x, [tap], threshold=0.05)
+            for field in ("gradient", "normalized", "mask"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), (tap, field)
+            assert (got.erf_size, got.erf_radius, got.et_ratio) == \
+                (want.erf_size, want.erf_radius, want.et_ratio), tap
 
     def test_zero_model_rejected(self):
         stub = _LinearStub(np.zeros((4, 4, 4)))
@@ -148,7 +171,7 @@ class TestErfMap:
     def test_unknown_tap_rejected(self):
         model = build_model(desk_config("cnn3d"), seed=0)
         with pytest.raises(ShapeError):
-            erf_map(model, np.zeros((1, 32, 32, 32), np.float32), "stage9")
+            erf_map(model, np.zeros((1, 32, 32, 32), np.float32), ["stage9"])
 
     @pytest.mark.parametrize("name,tap", [
         ("cnn3d", "stage1"), ("cnn3d", "stage3"),
@@ -161,7 +184,7 @@ class TestErfMap:
         cfg = desk_config(name)
         model = build_model(cfg, seed=5, dtype=np.float64)
         x = np.random.default_rng(6).normal(size=(1,) + cfg.input_shape)
-        grad = erf_map(model, x, tap).gradient
+        grad = erf_map(model, x, [tap])[0].gradient
         pos = np.argwhere(grad > 0)
         support = pos.max(axis=0) - pos.min(axis=0) + 1
         assert (support <= theoretical_extents(cfg, tap)).all(), (
@@ -171,7 +194,7 @@ class TestErfMap:
         cfg = desk_config("swin3d")
         model = build_model(cfg, seed=7, dtype=np.float64)
         x = np.random.default_rng(8).normal(size=(1,) + cfg.input_shape)
-        grad = erf_map(model, x, "patch_embed").gradient
+        grad = erf_map(model, x, ["patch_embed"])[0].gradient
         pos = np.argwhere(grad > 0)
         support = pos.max(axis=0) - pos.min(axis=0) + 1
         assert np.array_equal(support, theoretical_extents(cfg,

@@ -13,7 +13,8 @@ import pytest
 from volab import cli
 from volab.analysis import attention_distance_stats, cka_matrix, \
     read_activation_dump
-from volab.labels import CohortRecord, read_manifest, write_manifest
+from volab.labels import CohortRecord, read_manifest, \
+    stratified_patient_split, write_manifest
 from volab.metrics import auroc, brier_and_reliability, regression_metrics, \
     stratified_sens_spec
 from volab.models import ModelConfig, build_model
@@ -198,9 +199,10 @@ class TestTrain:
         samples = samples_from_records(records, model_cfg,
                                        root=str(workdir / "data"))
         pooled = {}
+        split = stratified_patient_split(records, run_cfg["n_folds"],
+                                         seed=train_cfg.seed)
         for k, (_, _, test_idx, preds) in enumerate(cross_validate(
-                records, samples, model_cfg, train_cfg,
-                n_folds=run_cfg["n_folds"])):
+                records, samples, model_cfg, train_cfg, split)):
             pooled.update((i, (float(p), k)) for i, p in zip(test_idx, preds))
         _, rows = _read_csv(run / "pooled_predictions.csv")
         assert [(float(r[3]), int(r[4])) for r in rows] == \
@@ -289,6 +291,37 @@ class TestTrain:
                       "cnn3d", 1, n_folds=3, max_epochs=1, extra=change)
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert os.listdir(tmp_path) == ["exp.json"]
+
+    def _other_run(self, workdir, tmp_path, preset, n_folds):
+        """A copy of the cnn3d run and a config that would train ``preset``
+        with ``n_folds`` folds into it."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "run", str(workdir / "data" / "manifest.csv"),
+                      preset, CNN_MASTER, n_folds=n_folds, max_epochs=1)
+        return run, cfg
+
+    def test_unsplittable_cohort_exits_two_before_writing(self, workdir,
+                                                          tmp_path):
+        # 18 records of 9 patients cannot fill 10 folds
+        run, cfg = self._other_run(workdir, tmp_path, "swin3d", 10)
+        before = _tree_hashes(run)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert _tree_hashes(run) == before
+        shutil.rmtree(run)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert not run.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--fold", "0"]],
+                             ids=["all_folds", "fold0"])
+    def test_other_run_in_out_dir_exits_one(self, workdir, tmp_path, capsys,
+                                            flags):
+        run, cfg = self._other_run(workdir, tmp_path, "swin3d", 3)
+        before = _tree_hashes(run)
+        assert cli.main(["train", "--config", str(cfg), *flags]) == 1
+        assert str(run) in capsys.readouterr().err
+        assert _tree_hashes(run) == before
 
     def test_truncated_volume_exits_two(self, tmp_path):
         (tmp_path / "vol.volb").write_bytes(b"VOLB\x01")
@@ -508,8 +541,9 @@ class TestAnalyzeFlags:
         ("vit3d", "attn", ("--k", "0")),
         ("vit3d", "attn", ("--attn-inputs", "0")),
         ("vit3d", "cka", ("--cka-inputs", "1")),
+        ("cnn3d", "erf", ("--stages", "stage1,stage1")),
     ], ids=["erf_inputs_zero", "erf_inputs_above_cohort", "k_zero",
-            "attn_inputs_zero", "cka_inputs_one"])
+            "attn_inputs_zero", "cka_inputs_one", "repeated_stages"])
     def test_out_of_range_count_exits_one(self, workdir, tmp_path, preset,
                                           instrument, flag):
         run = workdir / "runs" / preset
@@ -519,7 +553,7 @@ class TestAnalyzeFlags:
         out = tmp_path / "out"
         assert cli.main(["analyze", "--checkpoint", *ckpts, "--instrument",
                          instrument, *flag, "--out", str(out)]) == 1
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestReport:

@@ -353,6 +353,57 @@ class TestAggregators:
         assert res.pred.shape == (2,)
 
 
+def _reference_batch_norm(x, gamma, beta, running, m, eps, g):
+    """The training-form batch norm written out once: output, the three
+    VJPs for cotangent g, and the updated running buffers."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    mean, var = running
+    running = (((1 - m) * mean + m * x.mean(axis=axes)).astype(x.dtype),
+               ((1 - m) * var + m * x.var(axis=axes)).astype(x.dtype))
+    pshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    gam, bet = gamma.reshape(pshape), beta.reshape(pshape)
+    inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=axes, keepdims=True)) * inv
+    gx_hat = g * gam
+    m1 = gx_hat.mean(axis=axes, keepdims=True)
+    m2 = (gx_hat * xhat).mean(axis=axes, keepdims=True)
+    grads = (inv * (gx_hat - m1 - xhat * m2), (g * xhat).sum(axis=axes),
+             g.sum(axis=axes))
+    return xhat * gam + bet, grads, running
+
+
+class TestBatchNormStatistics:
+    """nn.BatchNorm computes its batch statistics once and hands them to
+    the training form: the output, the VJPs and the running buffers are
+    bitwise those of the formula that computes them in the primitive."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 8, 32, 32, 32), (8, 16, 8, 8, 8),
+                                       (8, 64, 2, 2, 2), (256, 4, 32, 32)],
+                             ids=["cnn3d_stem", "cnn3d_stage2",
+                                  "cnn3d_stage4", "hybrid_stem"])
+    def test_training_form_matches_reference(self, dtype, shape):
+        rng = _rng(3)
+        bn = nn.BatchNorm(shape[1], dtype=dtype)
+        bn.gamma.data[...] = rng.normal(1.0, 0.2, shape[1])
+        bn.beta.data[...] = rng.normal(0.0, 0.2, shape[1])
+        running = (bn._buffers["running_mean"].copy(),
+                   bn._buffers["running_var"].copy())
+        for step in range(2):
+            x = (rng.normal(0.3, 1.5, shape)).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+            out = bn(Tensor(x))
+            want, grads, running = _reference_batch_norm(
+                x, bn.gamma.data, bn.beta.data, running, bn.momentum,
+                bn.eps, g)
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, want), step
+            for got, ref in zip(out.node.vjp(g), grads):
+                assert np.array_equal(got, ref), step
+            assert np.array_equal(bn._buffers["running_mean"], running[0])
+            assert np.array_equal(bn._buffers["running_var"], running[1])
+
+
 class TestForwardContract:
     @pytest.mark.parametrize("name", ["cnn2d", "cnn3d", "vit2d", "vit3d",
                                       "swin2d", "swin3d", "hybrid_lstm",

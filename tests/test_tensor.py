@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import volab.tensor as T
 from volab.labels import DataError
+from volab.nn import Mlp
 from volab.tensor import NumericError, ShapeError, Tensor, backward, grad_check
 from oracles import attention_loops, conv3d_loops, pool3d_loops
 
@@ -361,53 +362,77 @@ class _CountingNode(T.Node):
         super().__init__(*args)
 
 
-class TestNoGrad:
-    def test_records_no_node_and_restores_on_exit(self, monkeypatch):
+def _mlp(seed):
+    return Mlp(np.random.default_rng(seed), 3, 5, dtype=np.float64)
+
+
+class TestFrozen:
+    """``Module.frozen()`` is the one way to run a model off the tape: a
+    primitive records a node if and only if an input requires a gradient."""
+
+    def test_frozen_model_records_no_node(self, monkeypatch):
         monkeypatch.setattr(T, "Node", _CountingNode)
         _CountingNode.made = 0
-        x = t64(np.arange(6.0).reshape(2, 3))
-        with T.no_grad():
-            y = T.tsum(T.relu(T.mul(x, x)))
+        mlp = _mlp(0)
+        x = Tensor(np.ones((2, 3)))
+        with mlp.frozen():
+            y = T.tsum(mlp(x))
         assert _CountingNode.made == 0
         assert y.node is None and not y.requires_grad
         with pytest.raises(ShapeError):
             backward(y)
-        z = T.tsum(T.mul(x, x))
-        assert z.node is not None and _CountingNode.made == 2
+        assert all(p.requires_grad for _, p in mlp.named_parameters())
+        z = T.tsum(mlp(x))
+        assert z.node is not None and _CountingNode.made > 0
+
+    def test_input_gradient_alone_while_frozen(self):
+        mlp = _mlp(1)
+        x = t64(np.ones((2, 3)))
+        with mlp.frozen():
+            backward(T.tsum(mlp(x)))
+        assert x.grad is not None
+        assert all(p.grad is None for _, p in mlp.named_parameters())
 
     def test_restores_after_exception_and_nests(self):
-        x = t64(np.ones(3))
+        mlp = _mlp(2)
+        params = [p for _, p in mlp.named_parameters()]
+        mlp.fc2.bias.requires_grad = False  # a parameter frozen by hand
+        flags = [p.requires_grad for p in params]
+        assert len(params) == 4 and flags.count(True) == 3
         with pytest.raises(RuntimeError):
-            with T.no_grad():
+            with mlp.frozen():
                 raise RuntimeError("leave the scope")
-        assert T.tsum(x).node is not None
-        with T.no_grad():
-            with T.no_grad():
+        assert [p.requires_grad for p in params] == flags
+        with mlp.frozen():
+            with mlp.frozen():
                 pass
-            assert T.tsum(x).node is None
-        assert T.tsum(x).node is not None
+            assert not any(p.requires_grad for p in params)
+        assert [p.requires_grad for p in params] == flags
+        assert [p for _, p in mlp.named_parameters()] == params
 
-    def test_scope_is_per_thread(self):
-        x = t64(np.ones(4))
+    def test_freezing_one_model_leaves_another_training(self):
+        frozen, training = _mlp(3), _mlp(4)
+        x = Tensor(np.ones((2, 3)))
         inside, release = threading.Event(), threading.Event()
         seen = {}
 
         def eval_thread():
-            with T.no_grad():
+            with frozen.frozen():
                 inside.set()
                 release.wait(10)
-                seen["eval"] = T.tsum(x).node
+                seen["eval"] = T.tsum(frozen(x)).node
 
         worker = threading.Thread(target=eval_thread)
         worker.start()
         try:
             assert inside.wait(10)
-            seen["train"] = T.tsum(T.mul(x, x)).node
+            backward(T.tsum(training(x)))
         finally:
             release.set()
             worker.join(10)
         assert seen["eval"] is None
-        assert seen["train"] is not None
+        assert all(p.grad is not None for _, p in training.named_parameters())
+        assert all(p.requires_grad for _, p in frozen.named_parameters())
 
 
 class TestCheckpointFormat:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volab.tensor as T
-from volab.labels import CohortRecord
+from volab.labels import CohortRecord, stratified_patient_split
 from volab.models import build_model, desk_config
 from volab.tensor import NumericError, Tensor, backward, grad_check
 from volab.training import (
@@ -233,6 +233,8 @@ class TestPredict:
         monkeypatch.setattr(T, "Node", Counting)
         preds = predict(model, samples, batch=3)
         assert made == []
+        params = model.named_parameters()
+        assert len(params) > 0 and all(p.requires_grad for _, p in params)
         # the tape-free forward computes what a taped one does
         x = np.stack([s.x for s in samples])
         taped = model.forward(Tensor(x)).pred.data
@@ -281,10 +283,14 @@ class TestCrossValidation:
                            accumulation_steps=1, max_epochs=2, patience=5,
                            seed=21)
 
+    def _split(self, records, n_folds=5):
+        return stratified_patient_split(records, n_folds=n_folds,
+                                        seed=self._cfg().seed)
+
     def test_every_record_predicted_once_and_patient_grouped(self):
         records, samples = self._records_and_samples(10, seed=1)
         outs = cross_validate(records, samples, desk_config("vit2d"),
-                              self._cfg(), n_folds=5)
+                              self._cfg(), self._split(records))
         fold_of = {}
         for k, (_, _, test_idx, preds) in enumerate(outs):
             assert len(preds) == len(test_idx)
@@ -303,19 +309,20 @@ class TestCrossValidation:
     def test_rerun_is_identical(self):
         records, samples = self._records_and_samples(10, seed=2)
         r1 = cross_validate(records, samples, desk_config("vit2d"),
-                            self._cfg(), n_folds=5)
+                            self._cfg(), self._split(records))
         r2 = cross_validate(records, samples, desk_config("vit2d"),
-                            self._cfg(), n_folds=5)
+                            self._cfg(), self._split(records))
         for (_, _, idx1, p1), (_, _, idx2, p2) in zip(r1, r2):
             assert idx1 == idx2
             assert np.array_equal(p1, p2)
 
     def test_fold_subset_on_a_pool_matches_full_run(self):
         records, samples = self._records_and_samples(10, seed=4)
+        split = self._split(records)
         full = cross_validate(records, samples, desk_config("vit2d"),
-                              self._cfg(), n_folds=5)
+                              self._cfg(), split)
         part = cross_validate(records, samples, desk_config("vit2d"),
-                              self._cfg(), n_folds=5, folds=[3, 1],
+                              self._cfg(), split, folds=[3, 1],
                               n_workers=2)
         assert len(part) == 2
         for k, (res, _, idx, preds) in zip([3, 1], part):
@@ -327,13 +334,13 @@ class TestCrossValidation:
         records, samples = self._records_and_samples(6, seed=3)
         with pytest.raises(ValueError):
             cross_validate(records, samples, desk_config("vit2d"),
-                           self._cfg(), n_folds=3, folds=[3])
+                           self._cfg(), self._split(records, 3), folds=[3])
 
     def test_misaligned_inputs_rejected(self):
         records, samples = self._records_and_samples(6, seed=3)
         with pytest.raises(ValueError):
             cross_validate(records, samples[:-1], desk_config("vit2d"),
-                           self._cfg())
+                           self._cfg(), self._split(records))
 
 
 class TestMakeInput:
