@@ -89,7 +89,7 @@ def erf_map(model, x, taps=("output",), threshold=ERF_THRESHOLD):
     shape = x.shape[1:] if cfg is None else cfg.input_shape
     maps = []
     with getattr(model, "frozen", contextlib.nullcontext)():
-        result = model.forward(xt, record_stages=True)
+        result = model.forward(xt)
         for tap in taps:
             xt.grad = None
             backward(_tap_scalar(result, shape, tap))
@@ -244,6 +244,10 @@ def attention_distances(records, k=5, include_self=False):
         if cents.ndim == 2:
             cents = cents[None]
         groups, heads, length, _ = attn.shape
+        if cents.shape[0] not in (1, groups):
+            raise DataError(f"attention record {rec.layer!r} has "
+                            f"{cents.shape[0]} centroid groups for "
+                            f"{groups} attention groups")
         for g in range(groups):
             cg = cents[g if cents.shape[0] > 1 else 0]
             valid = ~np.isnan(cg).any(axis=1)

@@ -367,7 +367,8 @@ def cmd_train(args):
 def _read_run_config(path):
     """A training run's resolved config and its ModelConfig. A missing key,
     a bad seed or a malformed model block is a data error; keys nothing
-    reads are ignored."""
+    reads are ignored, as are the model block's deleted ``in_channels``
+    and ``preset``, which runs trained before their deletion hold."""
     run_cfg = read_json_object(path, "resolved config")
     missing = [k for k in ("name", "seed", "model", "manifest")
                if k not in run_cfg]
@@ -376,8 +377,12 @@ def _read_run_config(path):
     if not _is_seed(run_cfg["seed"]):
         raise DataError(f"{path}: seed must be a non-negative integer, "
                         f"got {run_cfg['seed']!r}")
+    model = run_cfg["model"]
+    if isinstance(model, dict):
+        model = {k: v for k, v in model.items()
+                 if k not in ("in_channels", "preset")}
     try:
-        return run_cfg, ModelConfig(**run_cfg["model"])
+        return run_cfg, ModelConfig(**model)
     except TypeError as err:
         raise DataError(f"{path}: bad model block: {err}") from err
 
@@ -476,7 +481,9 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
     with model.frozen():
         for i in sorted(chosen):
             x = make_input(_load_volume(records[i], root), model.config)
-            result = model.forward(x[None], record_attention=True)
+            result = model.forward(x[None])
+            if not result.attention:
+                raise DataError("model has no attention layers")
             labeled.append((records[i].p_kc, result.attention))
     stats = attention_distance_stats(labeled, k=k)
     rows = []
@@ -513,7 +520,7 @@ def _analyze_cka(args, ckpts, out_dir):
             [make_input(_load_volume(records[i], root), model.config)
              for i in range(n)], axis=0)
         with model.frozen():
-            result = model.forward(x, record_stages=True)
+            result = model.forward(x)
         prefix = "" if same_arch else f"{idx}:{run_cfg['name']}:"
         layers = {f"{prefix}{tap.name}":
                   np.asarray(tap.data.data, dtype=np.float64).reshape(n, -1)

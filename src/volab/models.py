@@ -3,8 +3,8 @@ transformers, and slice-sequence hybrids, in 2-D and 3-D.
 
 Every family shares one contract: ``build_model(cfg, seed)`` gives a
 ``ModelInstance`` whose ``forward`` returns a probability in [0, 1]
-(sigmoid head) plus, on request, per-stage activation taps and attention
-records with token centroids in voxel units. Stage taps follow a fixed
+(sigmoid head) plus every per-stage activation tap and every attention
+record, with token centroids in voxel units. Stage taps follow a fixed
 per-family protocol so the analysis instruments can address layers
 uniformly:
 
@@ -16,6 +16,8 @@ uniformly:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,20 +57,25 @@ from .tensor import (
 FAMILIES = ("cnn", "hybrid_lstm", "hybrid_transformer", "vit", "swin")
 
 
+def _positive_int(value):
+    return isinstance(value, numbers.Integral) and \
+        not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Declarative architecture description; JSON round-trippable.
 
     input_shape is the spatial shape the network consumes: 2 dims for 2-D
     models, 3 dims for 3-D models and for hybrids (whose first axis is the
-    slice-sequence axis feeding a 2-D per-slice encoder).
+    slice-sequence axis feeding a 2-D per-slice encoder). Every input has
+    one channel. A degenerate value raises ShapeError here, before any
+    network is built.
     """
 
     family: str
     input_dims: int
     input_shape: tuple
-    in_channels: int = 1
-    preset: str = "desk"
     pad_policy: str = "strict"
     # conv backbone (cnn family; also the hybrid per-slice encoder)
     stem_channels: int = 8
@@ -89,16 +96,42 @@ class ModelConfig:
     agg_dropout: float = 0.1
 
     def __post_init__(self):
-        for name in ("input_shape", "stage_channels", "stage_strides",
-                     "patch_size", "window_size", "stage_depths"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        sizes = ("input_shape", "stage_channels", "stage_strides",
+                 "patch_size", "window_size", "stage_depths")
+        for name in sizes:
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError as err:
+                raise ShapeError(f"{name} must be a list of sizes") from err
+        counts = ("stem_channels", "embed_dim", "depth", "n_heads",
+                  "agg_hidden", "agg_depth", "agg_heads")
+        for name in sizes + counts:
+            value = getattr(self, name)
+            if not all(map(_positive_int,
+                           value if name in sizes else (value,))):
+                raise ShapeError(f"{name} must hold integers >= 1, "
+                                 f"got {value!r}")
         if self.family not in FAMILIES:
             raise ShapeError(f"unknown family {self.family!r}")
-        if self.input_dims not in (2, 3):
+        if self.input_dims not in (2, 3) or \
+                not _positive_int(self.input_dims):
             raise ShapeError(f"input_dims must be 2 or 3, got "
-                             f"{self.input_dims}")
+                             f"{self.input_dims!r}")
         if self.pad_policy not in ("strict", "pad"):
             raise ShapeError(f"unknown pad_policy {self.pad_policy!r}")
+        if not (isinstance(self.agg_dropout, numbers.Real)
+                and 0.0 <= self.agg_dropout < 1.0):
+            raise ShapeError(f"agg_dropout must lie in [0, 1), "
+                             f"got {self.agg_dropout!r}")
+        # the narrowest width an MLP widens by mlp_ratio: the token width,
+        # or for hybrids the encoder's output channels
+        width = (((self.stem_channels,) + self.stage_channels)[-1]
+                 if self.family.startswith("hybrid") else self.embed_dim)
+        if not (isinstance(self.mlp_ratio, numbers.Real)
+                and math.isfinite(width * self.mlp_ratio)
+                and width * self.mlp_ratio >= 1):
+            raise ShapeError(f"mlp_ratio must give every MLP a hidden "
+                             f"unit, got {self.mlp_ratio!r}")
         expect = 3 if self.family.startswith("hybrid") else self.input_dims
         if len(self.input_shape) != expect:
             raise ShapeError(f"{self.family} expects {expect} spatial dims, "
@@ -120,14 +153,13 @@ class ModelConfig:
                 raise ShapeError("window_size must match input_dims")
             if not self.stage_depths:
                 raise ShapeError("swin needs stage_depths")
-        if min((self.stem_channels,) + self.stage_channels
-               + self.stage_strides) < 1:
-            raise ShapeError("stem_channels, stage_channels and "
-                             "stage_strides entries must be >= 1")
         if self.family == "cnn" or self.family.startswith("hybrid"):
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "
                                  "mismatch")
+        if self.family == "hybrid_transformer" and width % self.agg_heads:
+            raise ShapeError(f"encoder width {width} not divisible by "
+                             f"{self.agg_heads} heads")
 
     def token_grid(self):
         """Token grid after patch embedding (pads first when allowed)."""
@@ -187,37 +219,35 @@ def paper_config(name):
     presets = {
         "cnn2d": ModelConfig(
             family="cnn", input_dims=2, input_shape=(224, 224),
-            preset="paper", stem_channels=64,
-            stage_channels=(64, 128, 256, 512), stage_strides=(1, 2, 2, 2)),
+            stem_channels=64, stage_channels=(64, 128, 256, 512),
+            stage_strides=(1, 2, 2, 2)),
         "cnn3d": ModelConfig(
             family="cnn", input_dims=3, input_shape=(112, 112, 80),
-            preset="paper", stem_channels=64,
-            stage_channels=(64, 128, 256, 512), stage_strides=(1, 2, 2, 2)),
+            stem_channels=64, stage_channels=(64, 128, 256, 512),
+            stage_strides=(1, 2, 2, 2)),
         "vit2d": ModelConfig(
             family="vit", input_dims=2, input_shape=(224, 224),
-            preset="paper", patch_size=(16, 16), embed_dim=768, depth=12,
-            n_heads=12),
+            patch_size=(16, 16), embed_dim=768, depth=12, n_heads=12),
         "vit3d": ModelConfig(
             family="vit", input_dims=3, input_shape=(112, 112, 80),
-            preset="paper", patch_size=(16, 16, 4), embed_dim=512, depth=12,
-            n_heads=8),
+            patch_size=(16, 16, 4), embed_dim=512, depth=12, n_heads=8),
         "swin2d": ModelConfig(
             family="swin", input_dims=2, input_shape=(224, 224),
-            preset="paper", patch_size=(4, 4), embed_dim=96, n_heads=3,
+            patch_size=(4, 4), embed_dim=96, n_heads=3,
             window_size=(7, 7), stage_depths=(2, 2, 6, 2)),
         "swin3d": ModelConfig(
             family="swin", input_dims=3, input_shape=(112, 112, 80),
-            preset="paper", patch_size=(4, 4, 4), embed_dim=96, n_heads=3,
+            patch_size=(4, 4, 4), embed_dim=96, n_heads=3,
             window_size=(4, 4, 4), stage_depths=(2, 2, 6, 2),
             pad_policy="pad"),
         "hybrid_lstm": ModelConfig(
             family="hybrid_lstm", input_dims=2,
-            input_shape=(24, 224, 224), preset="paper", stem_channels=64,
+            input_shape=(24, 224, 224), stem_channels=64,
             stage_channels=(64, 128, 256, 512), stage_strides=(1, 2, 2, 2),
             agg_hidden=256),
         "hybrid_transformer": ModelConfig(
             family="hybrid_transformer", input_dims=2,
-            input_shape=(24, 224, 224), preset="paper", stem_channels=64,
+            input_shape=(24, 224, 224), stem_channels=64,
             stage_channels=(64, 128, 256, 512), stage_strides=(1, 2, 2, 2),
             agg_depth=6, agg_heads=8, agg_dropout=0.1),
     }
@@ -230,7 +260,9 @@ def paper_config(name):
 @dataclass
 class AttentionRecord:
     """One attention map: (groups, heads, L, L) probabilities plus the
-    voxel-space centroid of every token, NaN rows marking class tokens."""
+    voxel-space centroids (1 or groups, L, nd) of the tokens, NaN rows
+    marking class tokens. One centroid group serves every attention group;
+    a swin record of a batch of one has one centroid group per window."""
     layer: str
     attn: np.ndarray
     centroids: np.ndarray
@@ -311,277 +343,26 @@ class ConvBackbone(Module):
         return h, taps
 
 
-class CnnNet(Module):
-    def __init__(self, rng, cfg, dtype=np.float32):
+class ModelInstance(Module):
+    """A family network: its config, the input check and the forward
+    protocol. Each family builds its layers, implements ``_forward`` and
+    names its stage taps in ``stage_names``."""
+
+    def __init__(self, config):
         super().__init__()
-        self.cfg = cfg
-        self.backbone = ConvBackbone(rng, cfg.input_dims, cfg.in_channels,
-                                     cfg.stem_channels, cfg.stage_channels,
-                                     cfg.stage_strides, dtype=dtype)
-        self.head = Linear(rng, self.backbone.out_channels, 1, dtype=dtype)
-
-    def forward(self, x, training=False, rng=None, record_attention=False,
-                record_stages=False):
-        if record_attention:
-            raise ShapeError("model has no attention layers")
-        h, tap_tensors = self.backbone(x)
-        feat = mean(h, axis=tuple(range(2, h.ndim)))
-        pred = reshape(sigmoid(self.head(feat)), (x.shape[0],))
-        stages = []
-        if record_stages:
-            stages = [StageTap(f"stage{i + 1}", "grid", t)
-                      for i, t in enumerate(tap_tensors)]
-        return ForwardResult(pred=pred, stages=stages)
-
-
-class VitNet(Module):
-    def __init__(self, rng, cfg, dtype=np.float32):
-        super().__init__()
-        self.cfg = cfg
-        d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, cfg.in_channels, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy, dtype=dtype)
-        self.cls = _normal(rng, (1, d), 0.02, dtype)
-        n_tokens = 1
-        for g in cfg.token_grid():
-            n_tokens *= g
-        # learned position table covers CLS (row 0) + every patch token
-        self.pos = _normal(rng, (n_tokens + 1, d), 0.02, dtype)
-        self.blocks = [TransformerBlock(rng, d, cfg.n_heads,
-                                        mlp_ratio=cfg.mlp_ratio, dtype=dtype)
-                       for _ in range(cfg.depth)]
-        self.norm = LayerNorm(d, dtype=dtype)
-        self.head = Linear(rng, d, 1, dtype=dtype)
-
-    def forward(self, x, training=False, rng=None, record_attention=False,
-                record_stages=False):
-        n = x.shape[0]
-        tokens, grid = self.embed(x)
-        cents = self.embed.centroids(grid)
-        cls_cents = np.concatenate(
-            [np.full((1, cents.shape[1]), np.nan), cents], axis=0)
-        t = concat([expand_batch(self.cls, n), tokens], axis=1)
-        t = add(t, self.pos)
-        records, stages = [], []
-        for i, blk in enumerate(self.blocks):
-            t, attn = blk(t, rng=rng, record=record_attention)
-            if record_attention:
-                records.append(AttentionRecord(
-                    layer=f"block{i + 1}", attn=attn,
-                    centroids=cls_cents[None]))
-            if record_stages:
-                stages.append(StageTap(f"block{i + 1}", "tokens", t,
-                                       centroids=cls_cents, has_cls=True))
-        t = self.norm(t)
-        cls_out = reshape(narrow(t, 1, 0, 1), (n, self.cfg.embed_dim))
-        pred = reshape(sigmoid(self.head(cls_out)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
-
-
-def merge_centroids(cgrid):
-    """Parent centroid = mean of its real 2^nd children (numpy twin of the
-    token merge). The token that pads an odd axis covers no voxels, so it
-    enters as NaN and is left out of its parent's mean."""
-    nd = cgrid.ndim - 1
-    pads = [(0, g % 2) for g in cgrid.shape[:-1]] + [(0, 0)]
-    arr = np.pad(cgrid, pads, constant_values=np.nan)
-    shape = []
-    for g in arr.shape[:-1]:
-        shape.extend([g // 2, 2])
-    shape.append(nd)
-    axes = tuple(2 * a + 1 for a in range(nd))
-    return np.nanmean(arr.reshape(shape), axis=axes)
-
-
-class SwinNet(Module):
-    def __init__(self, rng, cfg, dtype=np.float32):
-        super().__init__()
-        self.cfg = cfg
-        nd = cfg.input_dims
-        d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, cfg.in_channels, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy, dtype=dtype)
-        self.embed_norm = LayerNorm(d, dtype=dtype)
-        shift = tuple(w // 2 for w in cfg.window_size)
-        stages, merges = [], []
-        for s, depth in enumerate(cfg.stage_depths):
-            dim_s = d * (2 ** s)
-            heads_s = cfg.n_heads * (2 ** s)
-            blocks = []
-            for b in range(depth):
-                # even blocks use plain windows, odd blocks shifted ones
-                blk_shift = shift if b % 2 == 1 else (0,) * nd
-                blocks.append(SwinBlock(rng, dim_s, heads_s, cfg.window_size,
-                                        blk_shift, mlp_ratio=cfg.mlp_ratio,
-                                        dtype=dtype))
-            stages.append(blocks)
-            if s < len(cfg.stage_depths) - 1:
-                merges.append(PatchMerge(rng, dim_s, nd,
-                                         pad_policy=cfg.pad_policy,
-                                         dtype=dtype))
-        self.stages = [blk for blocks in stages for blk in blocks]
-        self._stage_layout = [len(blocks) for blocks in stages]
-        self.merges = merges
-        final_dim = d * (2 ** (len(cfg.stage_depths) - 1))
-        self.norm = LayerNorm(final_dim, dtype=dtype)
-        self.head = Linear(rng, final_dim, 1, dtype=dtype)
-
-    def forward(self, x, training=False, rng=None, record_attention=False,
-                record_stages=False):
-        n = x.shape[0]
-        cfg = self.cfg
-        tokens, grid = self.embed(x)
-        t = self.embed_norm(tokens)
-        cgrid = self.embed.centroids(grid).reshape(grid + (len(grid),))
-        records, stages = [], []
-        if record_stages:
-            stages.append(StageTap("patch_embed", "tokens", t,
-                                   centroids=cgrid.reshape(-1, len(grid))))
-        t = reshape(t, (n,) + grid + (cfg.embed_dim,))
-        idx = 0
-        for s, depth in enumerate(self._stage_layout):
-            for b in range(depth):
-                t, attn, cents = self.stages[idx](
-                    t, record=record_attention, centroid_grid=cgrid)
-                idx += 1
-                if record_attention:
-                    records.append(AttentionRecord(
-                        layer=f"stage{s + 1}.block{b + 1}", attn=attn,
-                        centroids=cents))
-            if record_stages:
-                flat = reshape(t, (n, -1, t.shape[-1]))
-                stages.append(StageTap(
-                    f"stage{s + 1}", "tokens", flat,
-                    centroids=cgrid.reshape(-1, cgrid.shape[-1])))
-            if s < len(self._stage_layout) - 1:
-                t, grid = self.merges[s](t)
-                cgrid = merge_centroids(cgrid)
-        t = reshape(t, (n, -1, t.shape[-1]))
-        t = self.norm(t)
-        feat = mean(t, axis=1)
-        pred = reshape(sigmoid(self.head(feat)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
-
-
-class HybridNet(Module):
-    """Shared 2-D encoder over the slice sequence + sequence aggregator."""
-
-    def __init__(self, rng, cfg, dtype=np.float32):
-        super().__init__()
-        self.cfg = cfg
-        self.encoder = ConvBackbone(rng, 2, cfg.in_channels,
-                                    cfg.stem_channels, cfg.stage_channels,
-                                    cfg.stage_strides, dtype=dtype)
-        f = self.encoder.out_channels
-        self.feature_dim = f
-        n_slices = cfg.input_shape[0]
-        if cfg.family == "hybrid_lstm":
-            self.agg = BiLstm(rng, f, cfg.agg_hidden, dtype=dtype)
-            agg_out = 2 * cfg.agg_hidden
-        else:
-            self.cls = _normal(rng, (1, f), 0.02, dtype)
-            # fixed sin/cos positions; row 0 is taken by the class token
-            self._buffers = {"pos_table": sinusoid_positions(n_slices + 1, f,
-                                                             dtype=dtype)}
-            self.agg_blocks = [
-                TransformerBlock(rng, f, cfg.agg_heads, mlp_ratio=cfg.mlp_ratio,
-                                 drop=cfg.agg_dropout, dtype=dtype)
-                for _ in range(cfg.agg_depth)]
-            self.agg_norm = LayerNorm(f, dtype=dtype)
-            agg_out = f
-        self.head = Linear(rng, agg_out, 1, dtype=dtype)
-
-    def forward(self, x, training=False, rng=None, record_attention=False,
-                record_stages=False):
-        cfg = self.cfg
-        n, c = x.shape[0], x.shape[1]
-        s = x.shape[2]
-        slices = reshape(transpose(x, (0, 2, 1, 3, 4)),
-                         (n * s, c) + tuple(x.shape[3:]))
-        h, _ = self.encoder(slices)
-        feat = mean(h, axis=tuple(range(2, h.ndim)))
-        seq = reshape(feat, (n, s, self.feature_dim))
-        slice_cents = np.arange(s, dtype=np.float64)[:, None]
-        records, stages = [], []
-        if record_stages:
-            stages.append(StageTap("encoder", "tokens", seq,
-                                   centroids=slice_cents))
-        if cfg.family == "hybrid_lstm":
-            if record_attention:
-                raise ShapeError("model has no attention layers")
-            agg_feat = self.agg(seq)
-        else:
-            if training and rng is None:
-                raise ValueError("hybrid_transformer in training mode needs "
-                                 "an rng for dropout")
-            t = concat([expand_batch(self.cls, n), seq], axis=1)
-            t = add(t, Tensor(self._buffers["pos_table"]))
-            cls_cents = np.concatenate([np.full((1, 1), np.nan),
-                                        slice_cents], axis=0)
-            for i, blk in enumerate(self.agg_blocks):
-                t, attn = blk(t, rng=rng, record=record_attention)
-                if record_attention:
-                    records.append(AttentionRecord(
-                        layer=f"agg_block{i + 1}", attn=attn,
-                        centroids=cls_cents[None]))
-            t = self.agg_norm(t)
-            agg_feat = reshape(narrow(t, 1, 0, 1), (n, self.feature_dim))
-        if record_stages:
-            stages.append(StageTap("aggregator", "vector", agg_feat))
-        pred = reshape(sigmoid(self.head(agg_feat)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
-
-
-_NETS = {
-    "cnn": CnnNet,
-    "vit": VitNet,
-    "swin": SwinNet,
-    "hybrid_lstm": HybridNet,
-    "hybrid_transformer": HybridNet,
-}
-
-
-class ModelInstance:
-    """A built network plus its config and the stage-tap protocol."""
-
-    def __init__(self, config, net):
         self.config = config
-        self.net = net
 
-    def forward(self, x, training=False, rng=None, record_attention=False,
-                record_stages=False):
+    def forward(self, x, training=False, rng=None):
+        """ForwardResult with the prediction, every stage tap and every
+        attention record of this input."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
-        expect = (self.config.in_channels,) + self.config.input_shape
+        expect = (1,) + self.config.input_shape
         if x.shape[1:] != expect:
             raise ShapeError(f"input shape {x.shape[1:]} does not match "
                              f"model input {expect}")
-        if record_attention and x.shape[0] != 1:
-            raise ShapeError("attention recording expects batch size 1")
-        self.net.set_training(training)
-        return self.net.forward(x, training=training, rng=rng,
-                                record_attention=record_attention,
-                                record_stages=record_stages)
-
-    def stage_names(self):
-        cfg = self.config
-        if cfg.family == "cnn":
-            return [f"stage{i + 1}" for i in range(len(cfg.stage_channels))]
-        if cfg.family.startswith("hybrid"):
-            return ["encoder", "aggregator"]
-        if cfg.family == "vit":
-            return [f"block{i + 1}" for i in range(cfg.depth)]
-        return ["patch_embed"] + [f"stage{i + 1}"
-                                  for i in range(len(cfg.stage_depths))]
-
-    def named_parameters(self):
-        return self.net.named_parameters()
-
-    def frozen(self):
-        return self.net.frozen()
-
-    def named_buffers(self):
-        return self.net.named_buffers()
+        self.set_training(training)
+        return self._forward(x, training, rng)
 
     def param_count(self):
         return sum(int(p.size) for _, p in self.named_parameters())
@@ -622,11 +403,224 @@ class ModelInstance:
         return meta
 
 
+class CnnNet(ModelInstance):
+    def __init__(self, rng, cfg, dtype=np.float32):
+        super().__init__(cfg)
+        self.backbone = ConvBackbone(rng, cfg.input_dims, 1,
+                                     cfg.stem_channels, cfg.stage_channels,
+                                     cfg.stage_strides, dtype=dtype)
+        self.head = Linear(rng, self.backbone.out_channels, 1, dtype=dtype)
+
+    def stage_names(self):
+        return [f"stage{i + 1}"
+                for i in range(len(self.config.stage_channels))]
+
+    def _forward(self, x, training, rng):
+        h, taps = self.backbone(x)
+        feat = mean(h, axis=tuple(range(2, h.ndim)))
+        pred = reshape(sigmoid(self.head(feat)), (x.shape[0],))
+        stages = [StageTap(name, "grid", t)
+                  for name, t in zip(self.stage_names(), taps)]
+        return ForwardResult(pred=pred, stages=stages)
+
+
+class VitNet(ModelInstance):
+    def __init__(self, rng, cfg, dtype=np.float32):
+        super().__init__(cfg)
+        d = cfg.embed_dim
+        self.embed = PatchEmbed(rng, 1, cfg.patch_size, d,
+                                pad_policy=cfg.pad_policy, dtype=dtype)
+        self.cls = _normal(rng, (1, d), 0.02, dtype)
+        n_tokens = 1
+        for g in cfg.token_grid():
+            n_tokens *= g
+        # learned position table covers CLS (row 0) + every patch token
+        self.pos = _normal(rng, (n_tokens + 1, d), 0.02, dtype)
+        self.blocks = [TransformerBlock(rng, d, cfg.n_heads,
+                                        mlp_ratio=cfg.mlp_ratio, dtype=dtype)
+                       for _ in range(cfg.depth)]
+        self.norm = LayerNorm(d, dtype=dtype)
+        self.head = Linear(rng, d, 1, dtype=dtype)
+
+    def stage_names(self):
+        return [f"block{i + 1}" for i in range(self.config.depth)]
+
+    def _forward(self, x, training, rng):
+        n = x.shape[0]
+        tokens, grid = self.embed(x)
+        cents = self.embed.centroids(grid)
+        cls_cents = np.concatenate(
+            [np.full((1, cents.shape[1]), np.nan), cents], axis=0)
+        t = concat([expand_batch(self.cls, n), tokens], axis=1)
+        t = add(t, self.pos)
+        records, stages = [], []
+        for name, blk in zip(self.stage_names(), self.blocks):
+            t, attn = blk(t, rng=rng)
+            records.append(AttentionRecord(layer=name, attn=attn,
+                                           centroids=cls_cents[None]))
+            stages.append(StageTap(name, "tokens", t, centroids=cls_cents,
+                                   has_cls=True))
+        t = self.norm(t)
+        cls_out = reshape(narrow(t, 1, 0, 1), (n, self.config.embed_dim))
+        pred = reshape(sigmoid(self.head(cls_out)), (n,))
+        return ForwardResult(pred=pred, attention=records, stages=stages)
+
+
+def merge_centroids(cgrid):
+    """Parent centroid = mean of its real 2^nd children (numpy twin of the
+    token merge). The token that pads an odd axis covers no voxels, so it
+    enters as NaN and is left out of its parent's mean."""
+    nd = cgrid.ndim - 1
+    pads = [(0, g % 2) for g in cgrid.shape[:-1]] + [(0, 0)]
+    arr = np.pad(cgrid, pads, constant_values=np.nan)
+    shape = []
+    for g in arr.shape[:-1]:
+        shape.extend([g // 2, 2])
+    shape.append(nd)
+    axes = tuple(2 * a + 1 for a in range(nd))
+    return np.nanmean(arr.reshape(shape), axis=axes)
+
+
+class SwinNet(ModelInstance):
+    def __init__(self, rng, cfg, dtype=np.float32):
+        super().__init__(cfg)
+        nd = cfg.input_dims
+        d = cfg.embed_dim
+        self.embed = PatchEmbed(rng, 1, cfg.patch_size, d,
+                                pad_policy=cfg.pad_policy, dtype=dtype)
+        self.embed_norm = LayerNorm(d, dtype=dtype)
+        shift = tuple(w // 2 for w in cfg.window_size)
+        stages, merges = [], []
+        for s, depth in enumerate(cfg.stage_depths):
+            dim_s = d * (2 ** s)
+            heads_s = cfg.n_heads * (2 ** s)
+            blocks = []
+            for b in range(depth):
+                # even blocks use plain windows, odd blocks shifted ones
+                blk_shift = shift if b % 2 == 1 else (0,) * nd
+                blocks.append(SwinBlock(rng, dim_s, heads_s, cfg.window_size,
+                                        blk_shift, mlp_ratio=cfg.mlp_ratio,
+                                        dtype=dtype))
+            stages.append(blocks)
+            if s < len(cfg.stage_depths) - 1:
+                merges.append(PatchMerge(rng, dim_s, nd,
+                                         pad_policy=cfg.pad_policy,
+                                         dtype=dtype))
+        self.stages = [blk for blocks in stages for blk in blocks]
+        self.merges = merges
+        final_dim = d * (2 ** (len(cfg.stage_depths) - 1))
+        self.norm = LayerNorm(final_dim, dtype=dtype)
+        self.head = Linear(rng, final_dim, 1, dtype=dtype)
+
+    def stage_names(self):
+        return ["patch_embed"] + [f"stage{s + 1}" for s in
+                                  range(len(self.config.stage_depths))]
+
+    def _forward(self, x, training, rng):
+        n = x.shape[0]
+        tokens, grid = self.embed(x)
+        t = self.embed_norm(tokens)
+        cgrid = self.embed.centroids(grid).reshape(grid + (len(grid),))
+        records = []
+        stages = [StageTap("patch_embed", "tokens", t,
+                           centroids=cgrid.reshape(-1, len(grid)))]
+        t = reshape(t, (n,) + grid + (self.config.embed_dim,))
+        blocks = iter(self.stages)
+        for s, depth in enumerate(self.config.stage_depths):
+            for b in range(depth):
+                t, attn, cents = next(blocks)(t, cgrid)
+                records.append(AttentionRecord(
+                    layer=f"stage{s + 1}.block{b + 1}", attn=attn,
+                    centroids=cents))
+            stages.append(StageTap(
+                f"stage{s + 1}", "tokens", reshape(t, (n, -1, t.shape[-1])),
+                centroids=cgrid.reshape(-1, cgrid.shape[-1])))
+            if s < len(self.merges):
+                t, grid = self.merges[s](t)
+                cgrid = merge_centroids(cgrid)
+        t = reshape(t, (n, -1, t.shape[-1]))
+        t = self.norm(t)
+        feat = mean(t, axis=1)
+        pred = reshape(sigmoid(self.head(feat)), (n,))
+        return ForwardResult(pred=pred, attention=records, stages=stages)
+
+
+class HybridNet(ModelInstance):
+    """Shared 2-D encoder over the slice sequence + sequence aggregator."""
+
+    def __init__(self, rng, cfg, dtype=np.float32):
+        super().__init__(cfg)
+        self.encoder = ConvBackbone(rng, 2, 1, cfg.stem_channels,
+                                    cfg.stage_channels, cfg.stage_strides,
+                                    dtype=dtype)
+        f = self.encoder.out_channels
+        self.feature_dim = f
+        n_slices = cfg.input_shape[0]
+        if cfg.family == "hybrid_lstm":
+            self.agg = BiLstm(rng, f, cfg.agg_hidden, dtype=dtype)
+            agg_out = 2 * cfg.agg_hidden
+        else:
+            self.cls = _normal(rng, (1, f), 0.02, dtype)
+            # fixed sin/cos positions; row 0 is taken by the class token
+            self._buffers = {"pos_table": sinusoid_positions(n_slices + 1, f,
+                                                             dtype=dtype)}
+            self.agg_blocks = [
+                TransformerBlock(rng, f, cfg.agg_heads, mlp_ratio=cfg.mlp_ratio,
+                                 drop=cfg.agg_dropout, dtype=dtype)
+                for _ in range(cfg.agg_depth)]
+            self.agg_norm = LayerNorm(f, dtype=dtype)
+            agg_out = f
+        self.head = Linear(rng, agg_out, 1, dtype=dtype)
+
+    def stage_names(self):
+        return ["encoder", "aggregator"]
+
+    def _forward(self, x, training, rng):
+        n, c = x.shape[0], x.shape[1]
+        s = x.shape[2]
+        slices = reshape(transpose(x, (0, 2, 1, 3, 4)),
+                         (n * s, c) + tuple(x.shape[3:]))
+        h, _ = self.encoder(slices)
+        feat = mean(h, axis=tuple(range(2, h.ndim)))
+        seq = reshape(feat, (n, s, self.feature_dim))
+        slice_cents = np.arange(s, dtype=np.float64)[:, None]
+        records = []
+        stages = [StageTap("encoder", "tokens", seq, centroids=slice_cents)]
+        if self.config.family == "hybrid_lstm":
+            agg_feat = self.agg(seq)
+        else:
+            if training and rng is None:
+                raise ValueError("hybrid_transformer in training mode needs "
+                                 "an rng for dropout")
+            t = concat([expand_batch(self.cls, n), seq], axis=1)
+            t = add(t, Tensor(self._buffers["pos_table"]))
+            cls_cents = np.concatenate([np.full((1, 1), np.nan),
+                                        slice_cents], axis=0)
+            for i, blk in enumerate(self.agg_blocks):
+                t, attn = blk(t, rng=rng)
+                records.append(AttentionRecord(
+                    layer=f"agg_block{i + 1}", attn=attn,
+                    centroids=cls_cents[None]))
+            t = self.agg_norm(t)
+            agg_feat = reshape(narrow(t, 1, 0, 1), (n, self.feature_dim))
+        stages.append(StageTap("aggregator", "vector", agg_feat))
+        pred = reshape(sigmoid(self.head(agg_feat)), (n,))
+        return ForwardResult(pred=pred, attention=records, stages=stages)
+
+
+_NETS = {
+    "cnn": CnnNet,
+    "vit": VitNet,
+    "swin": SwinNet,
+    "hybrid_lstm": HybridNet,
+    "hybrid_transformer": HybridNet,
+}
+
+
 def build_model(cfg, seed=0, dtype=np.float32):
     """Deterministic instantiation: same (cfg, seed) -> same parameters."""
     rng = np.random.default_rng(seed)
-    net = _NETS[cfg.family](rng, cfg, dtype=dtype)
-    return ModelInstance(cfg, net)
+    return _NETS[cfg.family](rng, cfg, dtype=dtype)
 
 
 __all__ = [

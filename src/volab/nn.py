@@ -307,7 +307,7 @@ def relative_position_index(window, radix=None):
 
 
 def multi_head_attention(x, qkv, proj, n_heads, bias=None, group_mask=None,
-                         groups=1, record=False):
+                         groups=1):
     """Standard scaled dot-product self-attention.
 
     x:          (B, L, D) with B = batch * groups (windows flatten into B)
@@ -316,8 +316,8 @@ def multi_head_attention(x, qkv, proj, n_heads, bias=None, group_mask=None,
                 (relative-position bias)
     group_mask: optional numpy (groups, heads, L, L) additive mask; scores
                 are viewed as (batch, groups, heads, L, L) for the add
-    Returns (out, attn) with attn a (B, heads, L, L) numpy copy when
-    record, else None.
+    Returns (out, attn) with attn the (B, heads, L, L) softmax output
+    array, which the tape holds anyway; no primitive writes into it.
     """
     b, l, d = x.shape
     if d % n_heads != 0:
@@ -339,11 +339,10 @@ def multi_head_attention(x, qkv, proj, n_heads, bias=None, group_mask=None,
         scores = add(scores, Tensor(group_mask))
         scores = reshape(scores, (b, n_heads, l, l))
     attn = softmax(scores, axis=-1)
-    recorded = np.array(attn.data, copy=True) if record else None
     out = matmul(attn, v)
     out = transpose(out, (0, 2, 1, 3))
     out = reshape(out, (b, l, d))
-    return proj(out), recorded
+    return proj(out), attn.data
 
 
 class Mlp(Module):
@@ -370,9 +369,9 @@ class TransformerBlock(Module):
         self.norm2 = LayerNorm(dim, dtype=dtype)
         self.mlp = Mlp(rng, dim, int(dim * mlp_ratio), dtype=dtype)
 
-    def __call__(self, x, rng=None, record=False):
+    def __call__(self, x, rng=None):
         h, attn = multi_head_attention(self.norm1(x), self.qkv, self.proj,
-                                       self.n_heads, record=record)
+                                       self.n_heads)
         if self.drop > 0.0:
             h = dropout(h, self.drop, training=self.training, rng=rng)
         x = add(x, h)
@@ -420,7 +419,11 @@ class SwinBlock(Module):
         rows = reshape(rows, (l, l, self.n_heads))
         return transpose(rows, (2, 0, 1))
 
-    def __call__(self, x, record=False, centroid_grid=None):
+    def __call__(self, x, centroid_grid):
+        """(x, attn, centroids): the block output, the attention map and
+        ``centroid_grid`` (*grid, nd) partitioned into windows exactly
+        like the tokens, so each attention row aligns with its window's
+        voxel positions."""
         n = x.shape[0]
         grid = x.shape[1:-1]
         window, shift = self._effective(grid)
@@ -443,26 +446,16 @@ class SwinBlock(Module):
         out, attn = multi_head_attention(windows, self.qkv, self.proj,
                                          self.n_heads, bias=bias,
                                          group_mask=group_mask,
-                                         groups=groups, record=record)
+                                         groups=groups)
         out = window_unpartition(out, window, counts, n)
         if any(shift):
             out = roll(out, shift, tuple(range(1, 1 + len(grid))))
         x = add(x, out)
         x = add(x, self.mlp(self.norm2(x)))
-        meta = None
-        if record:
-            if centroid_grid is None:
-                axes = [np.arange(g, dtype=np.float64) for g in grid]
-                centroid_grid = np.stack(np.meshgrid(*axes, indexing="ij"),
-                                         axis=-1)
-            # partition centroids exactly like the tokens so each recorded
-            # attention row aligns with its window's voxel positions
-            if any(shift):
-                centroid_grid = np.roll(
-                    centroid_grid, tuple(-s for s in shift),
-                    axis=tuple(range(len(grid))))
-            meta = _partition_np(centroid_grid, window)
-        return x, attn, meta
+        if any(shift):
+            centroid_grid = np.roll(centroid_grid, tuple(-s for s in shift),
+                                    axis=tuple(range(len(grid))))
+        return x, attn, _partition_np(centroid_grid, window)
 
 
 class PatchEmbed(Module):

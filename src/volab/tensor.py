@@ -691,55 +691,6 @@ def pool2d(x, kind="max", window=2, stride=None):
 
 
 # ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(f, xs, eps=1e-5, sample=None, seed=0):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must be a pure function of the given tensors returning a scalar
-    Tensor. Inputs are promoted to float64 leaves. ``sample`` caps the number
-    of coordinates checked per input (seeded subsample); default checks all.
-    Relative error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    if isinstance(xs, Tensor):
-        xs = [xs]
-    leaves = []
-    for x in xs:
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-        leaves.append(Tensor(arr.copy(), requires_grad=True, dtype=np.float64))
-
-    out = f(*leaves)
-    if out.size != 1:
-        raise ShapeError("grad_check needs a scalar-valued function")
-    for leaf in leaves:
-        leaf.grad = None
-    backward(out)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for leaf in leaves:
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        flat = leaf.data.reshape(-1)
-        n = flat.size
-        coords = np.arange(n)
-        if sample is not None and sample < n:
-            coords = rng.choice(n, size=sample, replace=False)
-        aflat = analytic.reshape(-1)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(*leaves).data.reshape(()))
-            flat[i] = orig - eps
-            f_minus = float(f(*leaves).data.reshape(()))
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # checkpoint serialization
 
 CHECKPOINT_MAGIC = b"VLCK"

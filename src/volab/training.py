@@ -35,8 +35,12 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(self.betas))
         for name in ("lr_max", "lr_min", "weight_decay", "eps", "min_delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or \
+                    isinstance(value, bool) or \
+                    not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite nonnegative "
+                                 f"number, got {value!r}")
         for name in ("physical_batch", "accumulation_steps", "max_epochs",
                      "patience"):
             value = getattr(self, name)

@@ -22,6 +22,7 @@ from oracles import (
     attention_loops,
     auroc_pairs,
     conv3d_loops,
+    grad_check,
     pool3d_loops,
     shifted_window_attention_loops,
     topk_attention_distances,
@@ -43,7 +44,7 @@ from volab.models import (
     desk_config,
     paper_config,
 )
-from volab.tensor import Tensor, backward, grad_check
+from volab.tensor import Tensor, backward
 from volab.training import (
     EarlyStopper,
     Sample,
@@ -254,7 +255,7 @@ def _model_fd_worst(name, n_param_coords=12, n_input_coords=6):
     cfg = desk_config(name)
     model = build_model(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(17)
-    x = rng.normal(0.0, 1.0, size=(1, cfg.in_channels) + cfg.input_shape)
+    x = rng.normal(0.0, 1.0, size=(1, 1) + cfg.input_shape)
     y = np.array([0.7], dtype=np.float64)
 
     def loss_eval(arr):
@@ -579,8 +580,8 @@ def test_criterion_06_pipeline_shapes():
         vit = paper_config("vit3d")
         assert int(np.prod(vit.token_grid())) == 980
         model = build_model(vit, seed=0)
-        assert model.net.pos.shape == (981, vit.embed_dim)  # 980 + CLS
-        assert model.net.cls.shape == (1, vit.embed_dim)
+        assert model.pos.shape == (981, vit.embed_dim)  # 980 + CLS
+        assert model.cls.shape == (1, vit.embed_dim)
 
         swin = paper_config("swin3d")
         grid = swin.token_grid()
@@ -815,8 +816,7 @@ def test_criterion_09_mechanistic_reports(desk_e2e):
         [emap2] = erf_map(model, x, ["stage2"], threshold=0.01)
 
         def stage2_center(arr):
-            res = model.forward(Tensor(arr[None]), training=False,
-                                record_stages=True)
+            res = model.forward(Tensor(arr[None]), training=False)
             tap = {s.name: s for s in res.stages}["stage2"]
             h = tap.data.data
             center = tuple(s // 2 for s in h.shape[2:])

@@ -131,7 +131,7 @@ class TestErfMap:
         assert all(p.grad is None and p.requires_grad for p in params)
         # the same map from a call that also computes every weight gradient
         xt = Tensor(x[None], requires_grad=True)
-        backward(analysis._tap_scalar(model.forward(xt, record_stages=True),
+        backward(analysis._tap_scalar(model.forward(xt),
                                       cfg.input_shape, tap))
         assert any(p.grad is not None for p in params)
         want = np.abs(np.asarray(xt.grad, dtype=np.float64))[0].sum(axis=0)
@@ -348,7 +348,7 @@ class TestAttentionDistances:
         model = build_model(cfg, seed=10)
         x = np.random.default_rng(11).normal(
             size=(1, 1) + cfg.input_shape).astype(np.float32)
-        res = model.forward(Tensor(x), record_attention=True)
+        res = model.forward(Tensor(x))
         d = attention_distances(res.attention)
         assert d.size > 0 and np.isfinite(d).all()
         assert d.max() <= np.linalg.norm([31, 31, 31]) + 1e-9

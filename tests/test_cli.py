@@ -4,6 +4,7 @@ reruns, and report values equal to direct recomputation."""
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -47,6 +48,16 @@ def _read_csv(path):
 N_RECORDS = 18
 DATA_SEED = 19
 VIT_MASTER, CNN_MASTER = 101, 102
+
+# inline model blocks of the desk geometry, for degenerate-value cases
+CNN_BLOCK = {"family": "cnn", "input_dims": 3, "input_shape": [32, 32, 32]}
+VIT_BLOCK = dict(CNN_BLOCK, family="vit", patch_size=[4, 8, 8])
+SWIN_BLOCK = dict(CNN_BLOCK, family="swin", patch_size=[4, 4, 4],
+                  embed_dim=12, window_size=[4, 4, 4],
+                  stage_depths=[2, 2, 1, 1])
+HYBRID_BLOCK = {"family": "hybrid_transformer", "input_dims": 2,
+                "input_shape": [32, 32, 32], "stem_channels": 4,
+                "stage_channels": [4, 8, 16, 32]}
 
 
 def _write_config(path, out_dir, manifest, preset, master, n_folds,
@@ -292,6 +303,48 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert os.listdir(tmp_path) == ["exp.json"]
 
+    @pytest.mark.parametrize("block", [
+        dict(VIT_BLOCK, n_heads=0),
+        dict(VIT_BLOCK, patch_size=[4, 0, 8]),
+        dict(SWIN_BLOCK, window_size=[4, 0, 4]),
+        dict(VIT_BLOCK, embed_dim=0),
+        dict(VIT_BLOCK, mlp_ratio=0),
+        dict(VIT_BLOCK, mlp_ratio=math.nan),
+        dict(HYBRID_BLOCK, agg_dropout=1.0),
+        dict(HYBRID_BLOCK, agg_heads=3),
+        dict(HYBRID_BLOCK, family="hybrid_lstm", agg_hidden=0),
+        dict(CNN_BLOCK, input_shape="abc"),
+        dict(CNN_BLOCK, in_channels=2),
+    ], ids=["zero_heads", "zero_patch", "zero_window", "zero_embed_dim",
+            "zero_mlp_ratio", "nan_mlp_ratio", "full_dropout",
+            "indivisible_agg_heads", "zero_agg_hidden", "text_input_shape",
+            "two_channels"])
+    def test_degenerate_model_block_exits_one_before_writing(
+            self, workdir, tmp_path, block):
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", str(workdir / "data" / "manifest.csv"),
+                      "cnn3d", 1, n_folds=3, max_epochs=1,
+                      extra={"model": block})
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert os.listdir(tmp_path) == ["exp.json"]
+
+    @pytest.mark.parametrize("change", [
+        {"lr_max": math.nan}, {"lr_max": math.inf}, {"lr_min": math.nan},
+        {"weight_decay": math.inf}, {"eps": math.nan},
+        {"min_delta": math.inf},
+    ], ids=["nan_lr_max", "inf_lr_max", "nan_lr_min", "inf_weight_decay",
+            "nan_eps", "inf_min_delta"])
+    def test_non_finite_train_value_exits_one_before_writing(
+            self, workdir, tmp_path, change):
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", str(workdir / "data" / "manifest.csv"),
+                      "cnn3d", 1, n_folds=3, max_epochs=1)
+        raw = json.loads(cfg.read_text())
+        raw["train"].update(change)
+        cfg.write_text(json.dumps(raw))  # NaN and Infinity, as JSON allows
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert os.listdir(tmp_path) == ["exp.json"]
+
     def _other_run(self, workdir, tmp_path, preset, n_folds):
         """A copy of the cnn3d run and a config that would train ``preset``
         with ``n_folds`` folds into it."""
@@ -482,8 +535,7 @@ class TestAnalyzeAttn:
             vol = read_volume(workdir / "data" / records[i].volume_path)
             x = make_input(vol, model.config)
             labeled.append((records[i].p_kc,
-                            model.forward(x[None],
-                                          record_attention=True).attention))
+                            model.forward(x[None]).attention))
         stats = attention_distance_stats(labeled, k=3)
         for row in rows:
             st = stats[row[2]]
@@ -734,16 +786,35 @@ class TestDamagedRun:
         assert cli.main(["report", "--runs", str(run), "--ci", "--out",
                          str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"n_heads": 0}, {"mlp_ratio": 0}, {"agg_dropout": 1.0},
+        {"input_shape": "abc"}, {"embed_dim": 0},
+    ], ids=["zero_heads", "zero_mlp_ratio", "full_dropout",
+            "text_input_shape", "zero_embed_dim"])
+    def test_degenerate_model_value_exits_two(self, workdir, tmp_path,
+                                              change):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        cfg["model"].update(change)
+        path.write_text(json.dumps(cfg))
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(tmp_path / "rep")]) == 2
+
     def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,
                                             capsys):
         """A run written while configs still held analysis settings and a
-        target analyzes with the flag defaults and reports as before."""
+        target, and model blocks a preset and an input channel count,
+        analyzes with the flag defaults and reports as before."""
         run = tmp_path / "run"
         shutil.copytree(workdir / "runs" / "cnn3d", run)
         path = run / "resolved_config.json"
         cfg = json.loads(path.read_text())
         cfg.update(analysis={"erf_inputs": 1, "threshold": 0.5},
                    target="pkc")
+        cfg["model"].update(preset="desk", in_channels=1)
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert self._analyze_erf(workdir, tmp_path, run) == 0

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import shifted_window_attention_loops
 from volab import nn
+from volab.analysis import attention_distances
+from volab.artifacts import DataError
 from volab.models import (
     ModelConfig,
     build_model,
@@ -46,6 +48,12 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _index_grid(grid):
+    """(*grid, nd) voxel coordinates of every token of a token grid."""
+    axes = [np.arange(g, dtype=np.float64) for g in grid]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 class TestTokenGeometry:
     def test_desk_vit3d_token_count(self):
         cfg = desk_config("vit3d")
@@ -53,7 +61,7 @@ class TestTokenGeometry:
         assert cfg.token_grid() == (8, 4, 4)
         m = build_model(cfg, seed=0)
         x = Tensor(np.zeros((1, 1, 32, 32, 32), np.float32))
-        res = m.forward(x, record_stages=True)
+        res = m.forward(x)
         # 128 patch tokens + 1 class token
         assert res.stages[0].data.shape == (1, 129, 32)
         assert res.stages[0].has_cls
@@ -62,11 +70,11 @@ class TestTokenGeometry:
         cfg = paper_config("vit3d")
         assert cfg.token_grid() == (7, 7, 20)
         m = build_model(cfg, seed=0)
-        tokens, grid = m.net.embed(Tensor(np.zeros((1, 1, 112, 112, 80),
+        tokens, grid = m.embed(Tensor(np.zeros((1, 1, 112, 112, 80),
                                                    np.float32)))
         assert grid == (7, 7, 20)
         assert tokens.shape == (1, 980, 512)
-        assert m.net.pos.shape == (981, 512)
+        assert m.pos.shape == (981, 512)
 
     def test_paper_vit2d_196_tokens(self):
         cfg = paper_config("vit2d")
@@ -98,14 +106,13 @@ class TestTokenGeometry:
                           pad_policy="pad")
         assert cfg.token_grid() == (4, 4)
         m = build_model(cfg, seed=0)
-        tokens, grid = m.net.embed(Tensor(np.zeros((1, 1, 30, 32),
+        tokens, grid = m.embed(Tensor(np.zeros((1, 1, 30, 32),
                                                    np.float32)))
         assert grid == (4, 4) and tokens.shape == (1, 16, 32)
 
     def test_zero_input_zero_proj_gives_cls_only(self):
         cfg = desk_config("vit2d")
-        m = build_model(cfg, seed=3)
-        net = m.net
+        net = build_model(cfg, seed=3)
         net.embed.proj.weight.data[...] = 0.0
         net.embed.proj.bias.data[...] = 0.0
         net.pos.data[...] = 0.0
@@ -190,7 +197,7 @@ class TestWindowMechanics:
         blk = nn.SwinBlock(rng, 12, 2, window=(4, 4), shift=(2, 2))
         blk.set_training(False)
         x = Tensor(rng.normal(size=(1, 8, 8, 12)).astype(np.float32))
-        _, attn, cents = blk(x, record=True)
+        _, attn, cents = blk(x, _index_grid((8, 8)))
         assert attn.shape == (4, 2, 16, 16)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
         assert cents.shape == (4, 16, 2)
@@ -210,7 +217,7 @@ class TestWindowMechanics:
         rng = _rng(6)
         blk = nn.SwinBlock(rng, 8, 2, window=(4, 4), shift=(2, 2))
         x = Tensor(rng.normal(size=(1, 2, 2, 8)).astype(np.float32))
-        out, attn, _ = blk(x, record=True)
+        out, attn, _ = blk(x, _index_grid((2, 2)))
         # window covers the whole grid, shift becomes a no-op
         assert out.shape == (1, 2, 2, 8)
         assert attn.shape == (1, 2, 4, 4)
@@ -252,7 +259,7 @@ class TestPatchMerge:
                           window_size=(4, 4, 4), stage_depths=(1, 1),
                           pad_policy="pad", embed_dim=12, n_heads=2)
         x = _rng(5).normal(size=(1, 1) + cfg.input_shape).astype(np.float32)
-        recs = build_model(cfg, seed=3).forward(x, record_attention=True)
+        recs = build_model(cfg, seed=3).forward(x)
         stage1, stage2 = (r.centroids for r in recs.attention)
         cgrid = stage1.reshape(4, 4, 3, 3)  # one window spans the grid
         got = stage2.reshape(2, 2, 2, 3)
@@ -269,7 +276,7 @@ class TestAttentionBlocks:
         qkv = nn.Linear(rng, 8, 24)
         proj = nn.Linear(rng, 8, 8)
         x = Tensor(rng.normal(size=(1, 1, 8)).astype(np.float32))
-        _, attn = nn.multi_head_attention(x, qkv, proj, 2, record=True)
+        _, attn = nn.multi_head_attention(x, qkv, proj, 2)
         assert np.allclose(attn, 1.0)
 
     def test_identical_keys_give_uniform_attention(self):
@@ -278,13 +285,12 @@ class TestAttentionBlocks:
         proj = nn.Linear(rng, 8, 8)
         row = rng.normal(size=8).astype(np.float32)
         x = Tensor(np.stack([row, row])[None])
-        _, attn = nn.multi_head_attention(x, qkv, proj, 2, record=True)
+        _, attn = nn.multi_head_attention(x, qkv, proj, 2)
         assert np.allclose(attn, 0.5, atol=1e-6)
 
     def test_vit_cls_invariant_to_token_permutation_with_zero_pos(self):
         cfg = desk_config("vit2d")
-        m = build_model(cfg, seed=7)
-        net = m.net
+        net = build_model(cfg, seed=7)
         net.pos.data[...] = 0.0
         net.set_training(False)
         rng = _rng(3)
@@ -304,8 +310,7 @@ class TestAttentionBlocks:
 
     def test_transformer_agg_with_zeroed_attention_matches_direct(self):
         cfg = desk_config("hybrid_transformer")
-        m = build_model(cfg, seed=9)
-        net = m.net
+        net = build_model(cfg, seed=9)
         blk = net.agg_blocks[0]
         blk.proj.weight.data[...] = 0.0
         blk.proj.bias.data[...] = 0.0
@@ -411,7 +416,7 @@ class TestForwardContract:
     def test_zero_head_predicts_half(self, name):
         cfg = desk_config(name)
         m = build_model(cfg, seed=11)
-        head = m.net.head
+        head = m.head
         head.weight.data[...] = 0.0
         head.bias.data[...] = 0.0
         x = Tensor(_rng(0).normal(size=(2, 1) + cfg.input_shape)
@@ -422,7 +427,7 @@ class TestForwardContract:
     def test_desk_cnn_stage_shapes_follow_strides(self):
         m = build_model(desk_config("cnn3d"), seed=0)
         x = Tensor(np.zeros((2, 1, 32, 32, 32), np.float32))
-        res = m.forward(x, record_stages=True)
+        res = m.forward(x)
         shapes = [s.data.shape for s in res.stages]
         assert shapes == [(2, 8, 16, 16, 16), (2, 16, 8, 8, 8),
                           (2, 32, 4, 4, 4), (2, 64, 2, 2, 2)]
@@ -430,7 +435,7 @@ class TestForwardContract:
     def test_desk_swin_stage_shapes(self):
         m = build_model(desk_config("swin3d"), seed=0)
         x = Tensor(np.zeros((1, 1, 32, 32, 32), np.float32))
-        res = m.forward(x, record_stages=True)
+        res = m.forward(x)
         shapes = [(s.name, s.data.shape) for s in res.stages]
         assert shapes == [("patch_embed", (1, 512, 12)),
                           ("stage1", (1, 512, 12)), ("stage2", (1, 64, 24)),
@@ -441,11 +446,15 @@ class TestForwardContract:
         with pytest.raises(ShapeError):
             m.forward(Tensor(np.zeros((1, 1, 16, 32, 32), np.float32)))
 
-    def test_attention_recording_needs_batch_one(self):
-        m = build_model(desk_config("vit3d"), seed=0)
+    def test_batched_window_records_refused_by_distances(self):
+        # two inputs attend in twice the windows one input's centroids span
+        m = build_model(desk_config("swin3d"), seed=0)
         x = Tensor(np.zeros((2, 1, 32, 32, 32), np.float32))
-        with pytest.raises(ShapeError):
-            m.forward(x, record_attention=True)
+        res = m.forward(x)
+        rec = res.attention[0]
+        assert rec.attn.shape[0] == 2 * rec.centroids.shape[0] == 16
+        with pytest.raises(DataError, match="centroid groups"):
+            attention_distances(res.attention)
 
     def test_attention_rows_sum_to_one_everywhere(self):
         for name in ("vit3d", "swin3d", "hybrid_transformer"):
@@ -453,7 +462,7 @@ class TestForwardContract:
             m = build_model(cfg, seed=2)
             x = Tensor(_rng(1).normal(size=(1, 1) + cfg.input_shape)
                        .astype(np.float32))
-            res = m.forward(x, record_attention=True)
+            res = m.forward(x)
             assert res.attention
             for rec in res.attention:
                 assert np.all(rec.attn >= 0.0)
@@ -462,7 +471,7 @@ class TestForwardContract:
     def test_cls_centroids_are_nan(self):
         m = build_model(desk_config("vit3d"), seed=2)
         x = Tensor(np.zeros((1, 1, 32, 32, 32), np.float32))
-        res = m.forward(x, record_attention=True)
+        res = m.forward(x)
         rec = res.attention[0]
         assert np.all(np.isnan(rec.centroids[0, 0]))
         assert np.all(np.isfinite(rec.centroids[0, 1:]))
@@ -470,7 +479,7 @@ class TestForwardContract:
     def test_swin_centroids_are_patch_centers(self):
         m = build_model(desk_config("swin3d"), seed=2)
         x = Tensor(np.zeros((1, 1, 32, 32, 32), np.float32))
-        res = m.forward(x, record_attention=True)
+        res = m.forward(x)
         cents = res.attention[0].centroids
         # patch 4 along each axis: centers at 1.5, 5.5, ..., 29.5
         vals = np.unique(cents)

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 import volab.tensor as T
 from volab.labels import DataError
 from volab.nn import Mlp
-from volab.tensor import NumericError, ShapeError, Tensor, backward, grad_check
-from oracles import attention_loops, conv3d_loops, pool3d_loops
+from volab.tensor import NumericError, ShapeError, Tensor, backward
+from oracles import attention_loops, conv3d_loops, grad_check, pool3d_loops
 
 
 def t64(arr, grad=True):

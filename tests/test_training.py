@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volab.tensor as T
+from oracles import grad_check
 from volab.labels import CohortRecord, stratified_patient_split
 from volab.models import build_model, desk_config
-from volab.tensor import NumericError, Tensor, backward, grad_check
+from volab.tensor import NumericError, Tensor, backward
 from volab.training import (
     AdamW,
     EarlyStopper,
@@ -203,7 +204,7 @@ class TestTrainFold:
 
     def test_nan_parameter_aborts_with_context(self):
         model = build_model(desk_config("vit2d"), seed=6)
-        model.net.head.weight.data[0] = np.nan
+        model.head.weight.data[0] = np.nan
         samples = _toy_samples(4, (32, 32), seed=7)
         cfg = TrainConfig(max_epochs=1, physical_batch=4,
                           accumulation_steps=1)
