@@ -153,6 +153,16 @@ class ModelConfig:
                 raise ShapeError("window_size must match input_dims")
             if not self.stage_depths:
                 raise ShapeError("swin needs stage_depths")
+            if self.pad_policy == "strict":
+                # each stage after the first starts with a 2x merge
+                grid = self.token_grid()
+                for _ in self.stage_depths[1:]:
+                    if any(g % 2 for g in grid):
+                        raise ShapeError(
+                            f"token grid {self.token_grid()} cannot be "
+                            f"halved before each of stages 2-"
+                            f"{len(self.stage_depths)} (pad_policy=strict)")
+                    grid = tuple(g // 2 for g in grid)
         if self.family == "cnn" or self.family.startswith("hybrid"):
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "

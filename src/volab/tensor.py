@@ -541,15 +541,6 @@ def _scatter_windows(gx, gcols, stride):
     return gx
 
 
-def _pad_or_crop(a, widths):
-    """Pad the three spatial axes of NCDHW ``a`` by ``widths`` zeros on
-    each side; a negative width crops that many planes instead."""
-    crop = tuple(slice(-q, a.shape[2 + i] + q) if q < 0 else slice(None)
-                 for i, q in enumerate(widths))
-    pads = ((0, 0), (0, 0)) + tuple((max(q, 0),) * 2 for q in widths)
-    return np.pad(a[(slice(None), slice(None)) + crop], pads)
-
-
 def _correlate(xp, w_mat, window, stride):
     """Cross-correlate the padded NCDHW array ``xp`` with the kernel matrix
     ``w_mat`` (out channels, in channels * window volume) as one im2col
@@ -562,19 +553,86 @@ def _correlate(xp, w_mat, window, stride):
     return out.reshape(out.shape[:2] + grid), cols_mat
 
 
+class _ShiftedGrid:
+    """Stride-1 correlation over the padded NCDHW grid flattened per
+    (n, c). The window at kernel offset (i, j, k) of every output voxel
+    is then one contiguous slice, starting at i*Hp*Wp + j*Wp + k, of
+    length L = (Do-1)*Hp*Wp + (Ho-1)*Wp + Wo. A length-L row holds the
+    output grid at strides (Hp*Wp, Wp, 1) with junk in between: the
+    positions whose window would wrap past an edge of the padded grid."""
+
+    def __init__(self, xp_shape, window):
+        dp, hp, wp = xp_shape[2:]
+        kd, kh, kw = window
+        self.grid = (dp - kd + 1, hp - kh + 1, wp - kw + 1)
+        do, ho, wo = self.grid
+        self.length = (do - 1) * hp * wp + (ho - 1) * wp + wo
+        self.offsets = [((i, j, k), i * hp * wp + j * wp + k)
+                        for i in range(kd) for j in range(kh)
+                        for k in range(kw)]
+        self.row_strides = (hp * wp, wp, 1)
+
+    def view(self, rows):
+        """The output grid inside the (n, ch, L) rows, as a strided view."""
+        isz = rows.itemsize
+        return np.lib.stride_tricks.as_strided(
+            rows, rows.shape[:2] + self.grid,
+            rows.strides[:2] + tuple(s * isz for s in self.row_strides))
+
+    def correlate(self, xflat, w):
+        """(n, o, Do, Ho, Wo) output: one batched GEMM per kernel offset,
+        accumulated over the rows, then cropped."""
+        n, o, ell = xflat.shape[0], w.shape[0], self.length
+        acc = np.empty((n, o, ell), np.result_type(xflat, w))
+        part = np.empty_like(acc)
+        for t, ((i, j, k), s) in enumerate(self.offsets):
+            np.matmul(w[:, :, i, j, k], xflat[:, :, s:s + ell],
+                      out=part if t else acc)
+            if t:
+                acc += part
+        return np.ascontiguousarray(self.view(acc))
+
+    def grads(self, g, xflat, w, need_x, need_w):
+        """Input gradient over the flattened padded grid, and weight
+        gradient, each only if asked for: one GEMM per kernel offset
+        against the output gradient laid out as the rows, junk zeroed."""
+        n, c, o, ell = xflat.shape[0], xflat.shape[1], w.shape[0], self.length
+        dtype = np.result_type(g, xflat, w)
+        rows = np.zeros((n, o, ell), dtype)
+        self.view(rows)[...] = g
+        gx = np.zeros(xflat.shape, dtype) if need_x else None
+        gw = np.empty(w.shape, dtype) if need_w else None
+        part_x = np.empty((n, c, ell), dtype)
+        part_w = np.empty((n, o, c), dtype)
+        for (i, j, k), s in self.offsets:
+            if need_x:
+                np.matmul(w[:, :, i, j, k].T, rows, out=part_x)
+                gx[:, :, s:s + ell] += part_x
+            if need_w:
+                np.matmul(rows, xflat[:, :, s:s + ell].transpose(0, 2, 1),
+                          out=part_w)
+                gw[:, :, i, j, k] = part_w.sum(axis=0)
+        return gx, gw
+
+
 def conv3d(x, w, bias=None, stride=1, padding=0):
     """3-D cross-correlation on NCDHW input with OIKdKhKw kernels.
 
-    The forward pass is one im2col matmul. The VJP computes only the
-    gradients whose inputs require one. The weight gradient is a batched
-    GEMM of the output gradient against the saved columns. At stride 1,
-    with no more output than input channels, the input gradient is the
-    transposed convolution: the output gradient, padded by k-1-p per axis
-    (cropped where that is negative), correlated with the flipped kernel
-    whose in and out channels are swapped. Otherwise the column gradients
-    are scatter-added back through the kernel footprint: the transposed
-    form would gather out/in times more columns (for the ERF probe's
-    1-to-8-channel stem, 9x the time of the scatter).
+    Two paths, chosen from the stride and the input channels alone:
+
+    * Stride 1 with at least 2 input channels: shifted GEMMs on the
+      flattened padded input (``_ShiftedGrid``). The forward is one
+      batched GEMM per kernel offset; so are the weight gradient and the
+      input gradient (transposed, added into the flat padded gradient and
+      cropped). The tape keeps the padded input.
+    * Otherwise (the 1-channel stems and every strided conv): one im2col
+      matmul. The weight gradient is a GEMM against the saved columns;
+      the column gradients are scatter-added back through the kernel
+      footprint. The shifted form ran the (8, 1, 32^3) -> 8 stem forward
+      18x slower (249 against 14 ms, its 1-row GEMMs); at a larger
+      stride it would compute every stride-1 position.
+
+    The VJP computes only the gradients whose inputs require one.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -587,33 +645,42 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
     pd, ph, pw = padding
     if kd > d + 2 * pd or kh > h + 2 * ph or kw > wd + 2 * pw:
         raise ShapeError("conv3d: kernel larger than padded input")
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError("conv3d: bias must have shape (out_channels,)")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    xp_shape = xp.shape
     window = (kd, kh, kw)
+    crop = (slice(None), slice(None), slice(pd, pd + d), slice(ph, ph + h),
+            slice(pw, pw + wd))
     w_mat = w.data.reshape(o, -1)
-    out, cols_mat = _correlate(xp, w_mat, window, stride)
-    xp_shape = xp.shape  # the closure keeps the shape, not the buffer
+    if stride == (1, 1, 1) and c >= 2:
+        shifted = _ShiftedGrid(xp_shape, window)
+        saved = xp.reshape(n, c, -1)  # the tape keeps the padded input
+        out = shifted.correlate(saved, w.data)
+    else:
+        shifted = None
+        out, saved = _correlate(xp, w_mat, window, stride)  # the columns
     cols_shape = (n, c) + window + out.shape[2:]
     if bias is not None:
-        if bias.shape != (o,):
-            raise ShapeError("conv3d: bias must have shape (out_channels,)")
         out = out + bias.data.reshape(1, o, 1, 1, 1)
 
     def vjp(g):
-        g_mat = g.reshape(n, o, -1)
         gx = gw = None
-        if x.requires_grad and stride == (1, 1, 1) and o <= c:
-            w_t = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gx = _correlate(_pad_or_crop(g, (kd - 1 - pd, kh - 1 - ph,
-                                             kw - 1 - pw)),
-                            w_t.reshape(c, -1), window, stride)[0]
-        elif x.requires_grad:
-            gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols_shape)
-            gxp = _scatter_windows(np.zeros(xp_shape, x.dtype), gcols, stride)
-            gx = gxp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd]
-        if w.requires_grad:
-            gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0) \
-                .reshape(w.shape)
+        if shifted is not None:
+            gxflat, gw = shifted.grads(g, saved, w.data, x.requires_grad,
+                                       w.requires_grad)
+            if gxflat is not None:
+                gx = gxflat.reshape(xp_shape)[crop]
+        else:
+            g_mat = g.reshape(n, o, -1)
+            if x.requires_grad:
+                gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols_shape)
+                gx = _scatter_windows(np.zeros(xp_shape, x.dtype), gcols,
+                                      stride)[crop]
+            if w.requires_grad:
+                gw = np.matmul(g_mat, saved.transpose(0, 2, 1)).sum(axis=0) \
+                    .reshape(w.shape)
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw
@@ -654,12 +721,19 @@ def pool3d(x, kind="max", window=2, stride=None):
     flat = cols.reshape((n, c, count) + cols.shape[5:])
 
     if kind == "max":
-        arg = flat.argmax(axis=2)
-        out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+        out = flat.max(axis=2)
 
         def vjp(g):
-            gflat = np.zeros_like(flat)
-            np.put_along_axis(gflat, arg[:, :, None], g[:, :, None], axis=2)
+            # each window's gradient goes to its first maximum, argmax's
+            # tie rule; one pass over the window offsets, not an argmax
+            gflat = np.empty_like(flat)
+            free = np.ones(out.shape, bool)
+            hit = np.empty(out.shape, bool)
+            for i in range(count):
+                np.equal(flat[:, :, i], out, out=hit)
+                hit &= free
+                free ^= hit
+                np.multiply(g, hit, out=gflat[:, :, i])
             return (_scatter_windows(np.zeros_like(x.data),
                                      gflat.reshape(cols.shape), stride),)
 

@@ -315,10 +315,11 @@ class TestTrain:
         dict(HYBRID_BLOCK, family="hybrid_lstm", agg_hidden=0),
         dict(CNN_BLOCK, input_shape="abc"),
         dict(CNN_BLOCK, in_channels=2),
+        dict(SWIN_BLOCK, input_shape=[8, 8, 8]),
     ], ids=["zero_heads", "zero_patch", "zero_window", "zero_embed_dim",
             "zero_mlp_ratio", "nan_mlp_ratio", "full_dropout",
             "indivisible_agg_heads", "zero_agg_hidden", "text_input_shape",
-            "two_channels"])
+            "two_channels", "unhalvable_swin_grid"])
     def test_degenerate_model_block_exits_one_before_writing(
             self, workdir, tmp_path, block):
         cfg = tmp_path / "exp.json"

@@ -210,9 +210,9 @@ def _case_pool_overlap(kind):
 
 
 def _case_conv_stride1(x_shape, w_shape, padding, bias=True):
-    # stride 1 with out <= in channels takes the transposed-convolution
-    # input gradient; padding at or above the kernel extent crops the
-    # output gradient instead of padding it
+    # stride 1 with 2+ input channels takes the shifted-GEMM path, with 1
+    # the im2col path; padding at or above the kernel extent gives an
+    # output larger than the input
     def build(r):
         out = tuple(s + 2 * p - k + 1 for s, p, k in
                     zip(x_shape[2:], T._triple(padding, "padding"),
@@ -259,6 +259,7 @@ PRIMITIVE_CASES = [
     ("conv3d_s1_anisotropic", _case_conv_stride1((2, 3, 4, 5, 4), (2, 3, 3, 2, 1), (1, 0, 2))),
     ("conv3d_s1_no_bias", _case_conv_stride1((2, 2, 4, 4, 4), (2, 2, 3, 3, 3), 1, bias=False)),
     ("conv3d_s1_widening", _case_conv_stride1((2, 2, 4, 4, 4), (3, 2, 3, 3, 3), 1)),
+    ("conv3d_s1_one_channel", _case_conv_stride1((2, 1, 4, 5, 3), (3, 1, 3, 3, 3), 1)),
     ("conv2d", lambda r: (lambda x, w: T.tsum(T.conv2d(x, w, stride=2, padding=1)), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
     ("pool3d_max", lambda r: (lambda x: T.tsum(T.pool3d(x, "max", 2, 2)), [r.normal(size=(2, 2, 4, 4, 4))])),
     ("pool3d_avg", _case_pool_avg),
@@ -294,6 +295,36 @@ class TestConvPoolOracles:
                            stride=(2, 1, 2), padding=(1, 0, 1)).data
             want = conv3d_loops(x, w, stride=(2, 1, 2), padding=(1, 0, 1))
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("c,o,kernel,padding", [
+        (2, 1, (3, 3, 3), 0),
+        (2, 5, (3, 3, 3), 1),
+        (4, 2, (2, 3, 1), (1, 0, 2)),
+        (4, 7, (3, 1, 2), 3),
+        (8, 3, (3, 3, 3), 2),
+        (8, 12, (1, 1, 1), 0),
+    ])
+    def test_stride1_conv3d_matches_loop_oracle(self, c, o, kernel, padding):
+        rng = np.random.default_rng(c * 100 + o)
+        x = rng.normal(size=(2, c, 4, 5, 3))
+        w = rng.normal(size=(o, c) + kernel)
+        b = rng.normal(size=o)
+        got = T.conv3d(t64(x, grad=False), t64(w, grad=False),
+                       bias=t64(b, grad=False), padding=padding).data
+        want = conv3d_loops(x, w, b, padding=T._triple(padding, "padding"))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("c,o,padding", [(2, 6, (1, 1)), (8, 4, (0, 2))])
+    def test_stride1_conv2d_matches_loop_oracle(self, c, o, padding):
+        # kd = 1: the depth axis conv2d adds is one plane of the grid
+        rng = np.random.default_rng(c * 100 + o)
+        x = rng.normal(size=(2, c, 6, 5))
+        w = rng.normal(size=(o, c, 3, 2))
+        got = T.conv2d(t64(x, grad=False), t64(w, grad=False),
+                       padding=padding).data
+        want = conv3d_loops(x[:, :, None], w[:, :, None],
+                            padding=(0,) + padding)[:, :, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_pool3d_matches_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -344,6 +375,15 @@ class TestConvGradientSkipping:
             grads.append((wt.grad, bt.grad))
         assert np.array_equal(grads[0][0], grads[1][0])
         assert np.array_equal(grads[0][1], grads[1][1])
+
+    def test_stride1_tape_keeps_padded_input_not_columns(self):
+        rng = np.random.default_rng(17)
+        xt = t64(rng.normal(size=(2, 4, 6, 6, 6)))
+        out = T.conv3d(xt, t64(rng.normal(size=(5, 4, 3, 3, 3))), padding=1)
+        padded_bytes = 2 * 4 * 8 ** 3 * 8
+        held = [cell.cell_contents for cell in out.node.vjp.__closure__]
+        sizes = [a.nbytes for a in held if isinstance(a, np.ndarray)]
+        assert sizes and max(sizes) <= padded_bytes, sizes
 
     def test_frozen_weights_get_no_gradient(self):
         rng = np.random.default_rng(16)
