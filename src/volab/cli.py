@@ -162,9 +162,10 @@ def load_experiment(path):
     if not _is_seed(cfg.seed):
         raise UsageError(f"config {path}: seed must be a non-negative "
                          f"integer, got {cfg.seed!r}")
-    if not isinstance(cfg.out_dir, str):
-        raise UsageError(f"config {path}: out_dir must be a path, "
-                         f"got {cfg.out_dir!r}")
+    for key in ("name", "out_dir"):
+        if not isinstance(getattr(cfg, key), str):
+            raise UsageError(f"config {path}: {key} must be a string, "
+                             f"got {getattr(cfg, key)!r}")
     if not (isinstance(cfg.dataset, dict) and set(cfg.dataset) == {"manifest"}
             and isinstance(cfg.dataset["manifest"], str)):
         raise UsageError(f"config {path}: dataset must be "
@@ -501,6 +502,9 @@ def _analyze_attn(args, model, run_cfg, records, root, out_dir):
     return 0
 
 
+CKA_BATCH = 8  # inputs per cka forward: no larger than a desk training batch
+
+
 def _analyze_cka(args, ckpts, out_dir):
     first_model, first_cfg = _load_run_model(ckpts[0])
     records, root = _analysis_records(args, first_cfg, ckpts[0])
@@ -520,11 +524,13 @@ def _analyze_cka(args, ckpts, out_dir):
             [make_input(_load_volume(records[i], root), model.config)
              for i in range(n)], axis=0)
         with model.frozen():
-            result = model.forward(x)
+            chunks = [model.forward(x[i:i + CKA_BATCH]).stages
+                      for i in range(0, n, CKA_BATCH)]
         prefix = "" if same_arch else f"{idx}:{run_cfg['name']}:"
-        layers = {f"{prefix}{tap.name}":
-                  np.asarray(tap.data.data, dtype=np.float64).reshape(n, -1)
-                  for tap in result.stages}
+        layers = {f"{prefix}{taps[0].name}": np.concatenate(
+                      [np.asarray(t.data.data, dtype=np.float64)
+                       .reshape(t.data.shape[0], -1) for t in taps])
+                  for taps in zip(*chunks)}
         stem = os.path.splitext(os.path.basename(ckpt))[0]
         path = os.path.join(out_dir, f"cka_{idx:02d}_{stem}.admp")
         write_activation_dump(path, run_cfg["name"], layers)

@@ -7,8 +7,10 @@ be a suffix of the other. Every primitive checks its output for NaN/Inf.
 
 A primitive records a tape node if and only if one of its inputs
 requires a gradient, so a forward of a model in ``Module.frozen()`` on
-an input that needs none records nothing. The conv3d and matmul VJPs
-compute only the gradients of inputs that require one.
+an input that needs none records nothing. A VJP computes a gradient only
+for an input that requires one. A node keeps its inputs, never an
+activation-sized array those inputs determine: the VJP rebuilds what it
+needs from them (see ``conv3d``, ``_normalize`` and ``pool3d``).
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def add(a, b):
     out = a.data + b.data
 
     def vjp(g):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(g, b.shape)
+        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(g, b.shape) if b.requires_grad else None)
 
     return _make("add", out, (a, b), vjp)
 
@@ -207,7 +210,8 @@ def sub(a, b):
     out = a.data - b.data
 
     def vjp(g):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(-g, b.shape)
+        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(-g, b.shape) if b.requires_grad else None)
 
     return _make("sub", out, (a, b), vjp)
 
@@ -217,8 +221,10 @@ def mul(a, b):
     out = a.data * b.data
 
     def vjp(g):
-        return (_reduce_to_shape(g * b.data, a.shape),
-                _reduce_to_shape(g * a.data, b.shape))
+        return (_reduce_to_shape(g * b.data, a.shape)
+                if a.requires_grad else None,
+                _reduce_to_shape(g * a.data, b.shape)
+                if b.requires_grad else None)
 
     return _make("mul", out, (a, b), vjp)
 
@@ -306,7 +312,8 @@ def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
     then scale/shift along the feature ``axis``. ``stats=(mean, var)``
     gives the statistics per feature instead: frozen ones are constants
     to the VJP, otherwise they are x's own over ``over``, precomputed, and
-    the VJP differentiates through them."""
+    the VJP differentiates through them. The tape keeps x and the
+    statistics; the VJP recomputes the normalized activation from them."""
     if gamma.shape != x.shape[axis:axis + 1] or beta.shape != gamma.shape:
         raise ShapeError(f"{op}: gamma/beta must have shape "
                          f"{x.shape[axis:axis + 1]}")
@@ -320,19 +327,23 @@ def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
         mu, var = (np.asarray(s, dtype=x.data.dtype).reshape(pshape)
                    for s in stats)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gam + bet
+    out = (x.data - mu) * inv * gam + bet
     params = tuple(a for a in range(x.ndim) if a != axis)
 
     def vjp(g):
-        gx_hat = g * gam
-        if frozen:
-            gx = inv * gx_hat
-        else:
-            m1 = gx_hat.mean(axis=over, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=over, keepdims=True)
-            gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=params), g.sum(axis=params)
+        xhat = (x.data - mu) * inv
+        gx = None
+        if x.requires_grad:
+            gx = g * gam
+            if not frozen:
+                m1 = gx.mean(axis=over, keepdims=True)
+                m2 = (gx * xhat).mean(axis=over, keepdims=True)
+                gx -= m1
+                gx -= xhat * m2
+            gx *= inv
+        return (gx,
+                (g * xhat).sum(axis=params) if gamma.requires_grad else None,
+                g.sum(axis=params) if beta.requires_grad else None)
 
     return _make(op, out, (x, gamma, beta), vjp)
 
@@ -543,14 +554,16 @@ def _scatter_windows(gx, gcols, stride):
 
 def _correlate(xp, w_mat, window, stride):
     """Cross-correlate the padded NCDHW array ``xp`` with the kernel matrix
-    ``w_mat`` (out channels, in channels * window volume) as one im2col
-    matmul. Returns the NCDHW output and the (n, rows, positions) column
-    matrix."""
-    cols = _gather_windows(xp, window, stride)
-    grid = cols.shape[5:]
-    cols_mat = cols.reshape(xp.shape[0], w_mat.shape[1], -1)
-    out = np.matmul(w_mat[None], cols_mat)
-    return out.reshape(out.shape[:2] + grid), cols_mat
+    ``w_mat`` (out channels, in channels * window volume): one im2col GEMM
+    per sample, so one sample's columns are live at a time."""
+    grid = tuple((s - k) // st + 1
+                 for s, k, st in zip(xp.shape[2:], window, stride))
+    out = np.empty((xp.shape[0], w_mat.shape[0], int(np.prod(grid))),
+                   np.result_type(xp, w_mat))
+    for k, out_k in enumerate(out):
+        cols = _gather_windows(xp[k:k + 1], window, stride)
+        np.matmul(w_mat, cols.reshape(w_mat.shape[1], -1), out=out_k)
+    return out.reshape(out.shape[:2] + grid)
 
 
 class _ShiftedGrid:
@@ -624,15 +637,17 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
       flattened padded input (``_ShiftedGrid``). The forward is one
       batched GEMM per kernel offset; so are the weight gradient and the
       input gradient (transposed, added into the flat padded gradient and
-      cropped). The tape keeps the padded input.
-    * Otherwise (the 1-channel stems and every strided conv): one im2col
-      matmul. The weight gradient is a GEMM against the saved columns;
+      cropped).
+    * Otherwise (the 1-channel stems and every strided conv): im2col, one
+      sample's columns at a time, gathered again for the weight gradient;
       the column gradients are scatter-added back through the kernel
       footprint. The shifted form ran the (8, 1, 32^3) -> 8 stem forward
       18x slower (249 against 14 ms, its 1-row GEMMs); at a larger
       stride it would compute every stride-1 position.
 
-    The VJP computes only the gradients whose inputs require one.
+    On both paths the tape keeps the padded input (x itself when there
+    is no padding), never the columns. The VJP computes only the
+    gradients whose inputs require one.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -648,19 +663,18 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
     if bias is not None and bias.shape != (o,):
         raise ShapeError("conv3d: bias must have shape (out_channels,)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    xp_shape = xp.shape
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) \
+        if any(padding) else x.data
     window = (kd, kh, kw)
     crop = (slice(None), slice(None), slice(pd, pd + d), slice(ph, ph + h),
             slice(pw, pw + wd))
     w_mat = w.data.reshape(o, -1)
     if stride == (1, 1, 1) and c >= 2:
-        shifted = _ShiftedGrid(xp_shape, window)
-        saved = xp.reshape(n, c, -1)  # the tape keeps the padded input
-        out = shifted.correlate(saved, w.data)
+        shifted = _ShiftedGrid(xp.shape, window)
+        out = shifted.correlate(xp.reshape(n, c, -1), w.data)
     else:
         shifted = None
-        out, saved = _correlate(xp, w_mat, window, stride)  # the columns
+        out = _correlate(xp, w_mat, window, stride)
     cols_shape = (n, c) + window + out.shape[2:]
     if bias is not None:
         out = out + bias.data.reshape(1, o, 1, 1, 1)
@@ -668,19 +682,23 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
     def vjp(g):
         gx = gw = None
         if shifted is not None:
-            gxflat, gw = shifted.grads(g, saved, w.data, x.requires_grad,
-                                       w.requires_grad)
+            gxflat, gw = shifted.grads(g, xp.reshape(n, c, -1), w.data,
+                                       x.requires_grad, w.requires_grad)
             if gxflat is not None:
-                gx = gxflat.reshape(xp_shape)[crop]
+                gx = gxflat.reshape(xp.shape)[crop]
         else:
             g_mat = g.reshape(n, o, -1)
             if x.requires_grad:
                 gcols = np.matmul(w_mat.T[None], g_mat).reshape(cols_shape)
-                gx = _scatter_windows(np.zeros(xp_shape, x.dtype), gcols,
+                gx = _scatter_windows(np.zeros(xp.shape, x.dtype), gcols,
                                       stride)[crop]
             if w.requires_grad:
-                gw = np.matmul(g_mat, saved.transpose(0, 2, 1)).sum(axis=0) \
-                    .reshape(w.shape)
+                # added from zero in batch order, like the batched sum(axis=0)
+                gw = np.zeros(w_mat.shape, np.result_type(g, xp))
+                for k in range(n):
+                    cols = _gather_windows(xp[k:k + 1], window, stride)
+                    gw += g_mat[k] @ cols.reshape(gw.shape[1], -1).T
+                gw = gw.reshape(w.shape)
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw
@@ -705,7 +723,9 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
 
 def pool3d(x, kind="max", window=2, stride=None):
-    """Max or average pooling over NCDHW input. The window must fit the input."""
+    """Max or average pooling over NCDHW input. The window must fit the
+    input. The tape keeps the input, not the windows: the max VJP gathers
+    them again from it."""
     if kind not in ("max", "avg"):
         raise ShapeError(f"pool3d kind must be max|avg, got {kind!r}")
     window = _triple(window, "window")
@@ -717,8 +737,9 @@ def pool3d(x, kind="max", window=2, stride=None):
         raise ShapeError("pool3d: window larger than input")
 
     cols = _gather_windows(x.data, window, stride)
+    shape = cols.shape  # the closure keeps the shape, not the buffer
     count = window[0] * window[1] * window[2]
-    flat = cols.reshape((n, c, count) + cols.shape[5:])
+    flat = cols.reshape((n, c, count) + shape[5:])
 
     if kind == "max":
         out = flat.max(axis=2)
@@ -726,6 +747,8 @@ def pool3d(x, kind="max", window=2, stride=None):
         def vjp(g):
             # each window's gradient goes to its first maximum, argmax's
             # tie rule; one pass over the window offsets, not an argmax
+            flat = _gather_windows(x.data, window, stride).reshape(
+                (n, c, count) + shape[5:])
             gflat = np.empty_like(flat)
             free = np.ones(out.shape, bool)
             hit = np.empty(out.shape, bool)
@@ -735,11 +758,10 @@ def pool3d(x, kind="max", window=2, stride=None):
                 free ^= hit
                 np.multiply(g, hit, out=gflat[:, :, i])
             return (_scatter_windows(np.zeros_like(x.data),
-                                     gflat.reshape(cols.shape), stride),)
+                                     gflat.reshape(shape), stride),)
 
     else:
         out = flat.mean(axis=2)
-        shape = cols.shape  # the closure keeps the shape, not the buffer
 
         def vjp(g):
             share = np.broadcast_to((g / count)[:, :, None, None, None], shape)

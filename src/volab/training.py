@@ -294,6 +294,10 @@ def cross_validate(records, samples, model_cfg, train_cfg, split,
         # reuse it (a 72-phantom cnn3d train-then-analyze loop on a 2-core
         # host peaked at 440 MiB this way, 730 MiB on a one-thread pool)
         return [run(k) for k in folds]
+    # n_workers folds are live at once, each with its model and tape, and
+    # that sets the peak RSS, not the arenas: on a 2-core host the desk
+    # run peaked at 358 MiB with 2 workers against 247 MiB with 1, and
+    # MALLOC_ARENA_MAX=1 cut a 2-worker peak only from 518-544 to 512 MiB
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run, folds))
 

@@ -13,12 +13,12 @@ import pytest
 
 from volab import cli
 from volab.analysis import attention_distance_stats, cka_matrix, \
-    read_activation_dump
+    read_activation_dump, write_activation_dump
 from volab.labels import CohortRecord, read_manifest, \
     stratified_patient_split, write_manifest
 from volab.metrics import auroc, brier_and_reliability, regression_metrics, \
     stratified_sens_spec
-from volab.models import ModelConfig, build_model
+from volab.models import ModelConfig, ModelInstance, build_model
 from volab.tensor import NumericError
 from volab.training import TrainConfig, cross_validate, make_input, \
     samples_from_records
@@ -293,8 +293,11 @@ class TestTrain:
         {"seed": -1},
         {"seed": 1.5},
         {"out_dir": 5},
+        {"name": 5},
+        {"name": ["a", "b"]},
     ], ids=["analysis", "target", "phantom_dataset", "extra_dataset_key",
-            "negative_seed", "fractional_seed", "numeric_out_dir"])
+            "negative_seed", "fractional_seed", "numeric_out_dir",
+            "numeric_name", "list_name"])
     def test_rejected_config_exits_one_before_writing(self, workdir,
                                                       tmp_path, change):
         cfg = tmp_path / "exp.json"
@@ -578,6 +581,41 @@ class TestAnalyzeCka:
         assert header[1:] == ids
         got = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.array_equal(got, mat)
+
+    @pytest.mark.parametrize("preset", ["cnn3d", "vit3d"])
+    def test_chunked_forwards_dump_one_batch_forward(self, workdir, tmp_path,
+                                                     monkeypatch, preset):
+        """Ten inputs run as forwards of 8 and 2, and the dumps are
+        byte-identical to those of one batch-10 forward's taps."""
+        run = workdir / "runs" / preset
+        ckpts = [str(run / f"fold{k}.ckpt") for k in (0, 1)]
+        batches = []
+        forward = ModelInstance.forward
+
+        def counting_forward(model, x, *args, **kwargs):
+            batches.append(len(x))
+            return forward(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(ModelInstance, "forward", counting_forward)
+        assert cli.main(["analyze", "--checkpoint", *ckpts, "--instrument",
+                         "cka", "--cka-inputs", "10",
+                         "--out", str(tmp_path / "cka")]) == 0
+        monkeypatch.undo()
+        assert batches == [8, 2, 8, 2]
+        records = read_manifest(workdir / "data" / "manifest.csv")
+        for idx, ckpt in enumerate(ckpts):
+            model, run_cfg = cli._load_run_model(ckpt)
+            x = np.stack([make_input(read_volume(
+                workdir / "data" / r.volume_path), model.config)
+                for r in records[:10]])
+            with model.frozen():
+                taps = model.forward(x).stages
+            want = tmp_path / f"want{idx}.admp"
+            write_activation_dump(want, run_cfg["name"], {
+                tap.name: np.asarray(tap.data.data, np.float64).reshape(10, -1)
+                for tap in taps})
+            got = tmp_path / "cka" / f"cka_{idx:02d}_fold{idx}.admp"
+            assert got.read_bytes() == want.read_bytes()
 
     def test_missing_sidecar_exits_two(self, workdir, tmp_path):
         bare = tmp_path / "bare.ckpt"

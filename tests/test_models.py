@@ -397,7 +397,7 @@ class TestBatchNormStatistics:
         for step in range(2):
             x = (rng.normal(0.3, 1.5, shape)).astype(dtype)
             g = rng.normal(size=shape).astype(dtype)
-            out = bn(Tensor(x))
+            out = bn(Tensor(x, requires_grad=True))
             want, grads, running = _reference_batch_norm(
                 x, bn.gamma.data, bn.beta.data, running, bn.momentum,
                 bn.eps, g)

@@ -394,6 +394,85 @@ class TestConvGradientSkipping:
         assert gw is None and gx.shape == xt.shape
 
 
+def _held_arrays(out):
+    """The arrays a node's VJP closure keeps alive."""
+    cells = [cell.cell_contents for cell in out.node.vjp.__closure__]
+    return [a for a in cells if isinstance(a, np.ndarray)]
+
+
+class TestTapeKeepsInputs:
+    """A conv3d, normalization or pool node keeps its inputs (a conv its
+    padded input) and per-channel statistics, and nothing activation-sized
+    that those inputs determine."""
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((2, 1, 6, 6, 6), (5, 1, 3, 3, 3), 1, 1),
+        ((2, 4, 6, 6, 6), (5, 4, 3, 3, 3), 2, 1),
+        ((2, 4, 6, 6, 6), (5, 4, 1, 1, 1), 2, 0),
+    ], ids=["one_channel_stem", "strided", "strided_1x1_unpadded"])
+    def test_im2col_conv_keeps_padded_input_not_columns(
+            self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(18)
+        xt, wt = t64(rng.normal(size=x_shape)), t64(rng.normal(size=w_shape))
+        out = T.conv3d(xt, wt, stride=stride, padding=padding)
+        padded = x_shape[:2] + tuple(s + 2 * padding for s in x_shape[2:])
+        held = _held_arrays(out)
+        assert all(a.size <= wt.size or a.shape == padded for a in held), \
+            [a.shape for a in held]
+        if padding == 0:
+            assert any(a is xt.data for a in held)
+
+    @pytest.mark.parametrize("op", ["batch_norm", "batch_norm_given_stats",
+                                    "batch_norm_frozen", "layer_norm"])
+    def test_normalization_keeps_no_normalized_copy(self, op):
+        rng = np.random.default_rng(19)
+        xt = t64(rng.normal(size=(3, 4, 5, 6)))
+        features = 6 if op == "layer_norm" else 4
+        gamma, beta = t64(np.ones(features)), t64(np.zeros(features))
+        if op == "layer_norm":
+            out = T.layer_norm(xt, gamma, beta)
+            stats_size = 3 * 4 * 5  # a mean and a scale per row
+        else:
+            stats = {"batch_norm": None,
+                     "batch_norm_given_stats": (xt.data.mean(axis=(0, 2, 3)),
+                                                xt.data.var(axis=(0, 2, 3))),
+                     "batch_norm_frozen": (np.zeros(4), np.ones(4))}[op]
+            out = T.batch_norm(xt, gamma, beta, stats=stats,
+                               frozen=op == "batch_norm_frozen")
+            stats_size = features
+        sizes = [a.size for a in _held_arrays(out)]
+        assert sizes and max(sizes) <= stats_size, sizes
+
+    @pytest.mark.parametrize("window,stride", [(2, None), (3, 2)],
+                             ids=["tiling", "overlapping"])
+    def test_max_pool_keeps_no_window_copy(self, window, stride):
+        rng = np.random.default_rng(20)
+        xt = t64(rng.normal(size=(2, 3, 7, 7, 7)))
+        out = T.pool3d(xt, "max", window, stride)
+        held = _held_arrays(out)
+        assert all(a.size <= out.size for a in held), [a.shape for a in held]
+
+
+class TestGradientOnlyWhereRequired:
+    """A VJP computes a gradient only for an input that requires one."""
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    def test_binary_vjp_skips_constant_operand(self, op):
+        rng = np.random.default_rng(21)
+        a, b = t64(rng.normal(size=(2, 3))), t64(rng.normal(size=3), False)
+        ga, gb = op(a, b).node.vjp(np.ones((2, 3)))
+        assert ga.shape == (2, 3) and gb is None
+        ga, gb = op(b, a).node.vjp(np.ones((2, 3)))
+        assert ga is None and gb.shape == (2, 3)
+
+    def test_normalization_vjp_skips_frozen_scale_and_shift(self):
+        rng = np.random.default_rng(22)
+        xt = t64(rng.normal(size=(3, 6)))
+        out = T.layer_norm(xt, t64(np.ones(6), False), t64(np.zeros(6), False))
+        gx, ggamma, gbeta = out.node.vjp(np.ones((3, 6)))
+        assert gx.shape == (3, 6) and ggamma is None and gbeta is None
+
+
 class _CountingNode(T.Node):
     made = 0
 
