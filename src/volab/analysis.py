@@ -230,11 +230,12 @@ def attention_distances(records, k=5, include_self=False):
     Class tokens (NaN centroid rows) never appear as query or target;
     self-attention pairs are excluded unless ``include_self``; only
     strictly positive attention weights are candidates; ties prefer the
-    lower token index.
+    lower token index. Distances come out in (record, group, head, query,
+    rank) order, from one stable argsort per record.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    out = []
+    out = [np.empty(0)]
     for rec in records:
         attn = np.asarray(rec.attn, dtype=np.float64)
         if rec.centroids is None:
@@ -243,29 +244,24 @@ def attention_distances(records, k=5, include_self=False):
         cents = np.asarray(rec.centroids, dtype=np.float64)
         if cents.ndim == 2:
             cents = cents[None]
-        groups, heads, length, _ = attn.shape
+        groups, _, length, _ = attn.shape
         if cents.shape[0] not in (1, groups):
             raise DataError(f"attention record {rec.layer!r} has "
                             f"{cents.shape[0]} centroid groups for "
                             f"{groups} attention groups")
-        for g in range(groups):
-            cg = cents[g if cents.shape[0] > 1 else 0]
-            valid = ~np.isnan(cg).any(axis=1)
-            pair_d = np.linalg.norm(cg[:, None, :] - cg[None, :, :], axis=2)
-            for h in range(heads):
-                a = attn[g, h]
-                for i in range(length):
-                    if not valid[i]:
-                        continue
-                    allowed = valid & (a[i] > 0.0)
-                    if not include_self:
-                        allowed[i] = False
-                    cand = np.nonzero(allowed)[0]
-                    if cand.size == 0:
-                        continue
-                    top = cand[np.argsort(-a[i, cand], kind="stable")[:k]]
-                    out.extend(pair_d[i, top])
-    return np.asarray(out, dtype=np.float64)
+        valid = ~np.isnan(cents).any(axis=2)
+        pair_d = np.linalg.norm(cents[:, :, None, :] - cents[:, None, :, :],
+                                axis=3)
+        allowed = ((attn > 0.0) & valid[:, None, :, None]
+                   & valid[:, None, None, :])
+        if not include_self:
+            diag = np.arange(length)
+            allowed[..., diag, diag] = False
+        top = np.argsort(np.where(allowed, -attn, np.inf), axis=-1,
+                         kind="stable")[..., :k]
+        d = np.take_along_axis(pair_d[:, None], top, axis=-1)
+        out.append(d[np.take_along_axis(allowed, top, axis=-1)])
+    return np.concatenate(out)
 
 
 def distance_stats(distances):

@@ -48,6 +48,7 @@ from .labels import (
     write_manifest,
 )
 from .metrics import (
+    ROW_METRICS,
     auroc,
     bootstrap_ci,
     brier_and_reliability,
@@ -592,19 +593,6 @@ def evaluate_pooled(pred, target):
     return out, reliability
 
 
-def _metric_fn(key):
-    if key in ("mse", "mae", "r2", "pearson"):
-        def fn(p, t, key=key):
-            value = regression_metrics(p, t)[key]
-            if value is None:
-                raise DataError(f"{key} undefined on this resample")
-            return value
-        return fn
-    if key == "brier":
-        return lambda p, t: brier_and_reliability(p, t)[0]
-    return auroc
-
-
 def _find_runs(runs_dir):
     if not os.path.isdir(runs_dir):
         raise DataError(f"run directory {runs_dir} does not exist")
@@ -641,7 +629,7 @@ def cmd_report(args):
         if args.ci:
             for key in METRIC_KEYS:
                 lo, hi = bootstrap_ci(
-                    _metric_fn(key), pred, target, n=args.bootstrap_n,
+                    ROW_METRICS[key], pred, target, n=args.bootstrap_n,
                     seed=derive_seed(run_cfg["seed"], f"bootstrap:{key}"))
                 row += [lo, hi]
         rows2.append(row)

@@ -10,6 +10,10 @@ from .labels import DataError, RiskBin, risk_bin
 
 N_RELIABILITY_BINS = 10
 
+# Most resample indices one bootstrap draw holds, so a large n never
+# allocates n x m at once.
+_DRAW_ELEMENTS = 1 << 18
+
 
 def _vec(values, name):
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -29,9 +33,73 @@ def _pair(pred, target):
     return p, t
 
 
-def _positives(label):
-    """Binary outcome from a soft or hard label: positive iff > 0.5."""
-    return _vec(label, "label") > 0.5
+# Row-wise kernels: (rows, m) predictions and targets, one sample of m
+# records per row, to one value per row, NaN where the metric is
+# undefined. Every regression metric is undefined on a constant target,
+# as r2 and pearson are. Positives are soft or hard labels > 0.5.
+
+
+def _defined(values, ok):
+    return np.where(ok, values, np.nan)
+
+
+def _ratio(num, den, ok):
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=ok)
+
+
+def _ss_tot(T):
+    dt = T - T.mean(axis=1, keepdims=True)
+    return np.sum(dt * dt, axis=1)
+
+
+def _mse_rows(P, T):
+    err = P - T
+    return _defined(np.mean(err * err, axis=1), _ss_tot(T) != 0.0)
+
+
+def _mae_rows(P, T):
+    return _defined(np.mean(np.abs(P - T), axis=1), _ss_tot(T) != 0.0)
+
+
+def _r2_rows(P, T):
+    err = P - T
+    ss_tot = _ss_tot(T)
+    return 1.0 - _ratio(np.sum(err * err, axis=1), ss_tot, ss_tot != 0.0)
+
+
+def _pearson_rows(P, T):
+    sp = P.std(axis=1)
+    cov = np.mean((P - P.mean(axis=1, keepdims=True))
+                  * (T - T.mean(axis=1, keepdims=True)), axis=1)
+    return _ratio(cov, sp * T.std(axis=1), (sp != 0.0) & (_ss_tot(T) != 0.0))
+
+
+def _brier_rows(P, T):
+    err = P - (T > 0.5)
+    return _defined(np.mean(err * err, axis=1),
+                    ((P >= 0.0) & (P <= 1.0)).all(axis=1))
+
+
+def _auroc_rows(P, T):
+    # Mann-Whitney on average ranks; the rank sums are exact in float64
+    pos = T > 0.5
+    n_pos = pos.sum(axis=1)
+    n_pairs = n_pos * (pos.shape[1] - n_pos)
+    rank_sum = np.sum(rankdata(P, axis=1), axis=1, where=pos)
+    return _ratio(rank_sum - n_pos * (n_pos + 1) / 2.0, n_pairs, n_pairs > 0)
+
+
+ROW_METRICS = {"mse": _mse_rows, "mae": _mae_rows, "r2": _r2_rows,
+               "pearson": _pearson_rows, "brier": _brier_rows,
+               "auroc": _auroc_rows}
+
+
+def _one_row(kernel, p, t, undefined=None):
+    """The kernel on one sample; NaN raises ``undefined`` if given."""
+    value = float(kernel(p[None], t[None])[0])
+    if undefined and np.isnan(value):
+        raise DataError(undefined)
+    return value
 
 
 def regression_metrics(pred, target):
@@ -41,20 +109,12 @@ def regression_metrics(pred, target):
     error; constant predictions only lose pearson, reported as None.
     """
     p, t = _pair(pred, target)
-    err = p - t
-    mse = float(np.mean(err * err))
-    mae = float(np.mean(np.abs(err)))
-    ss_tot = float(np.sum((t - t.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DataError("constant target: r2 and pearson are undefined")
-    r2 = 1.0 - float(np.sum(err * err)) / ss_tot
-    sp = float(p.std())
-    if sp == 0.0:
-        pearson = None
-    else:
-        cov = float(np.mean((p - p.mean()) * (t - t.mean())))
-        pearson = cov / (sp * float(t.std()))
-    return {"mse": mse, "mae": mae, "r2": r2, "pearson": pearson}
+    r2 = _one_row(_r2_rows, p, t,
+                  "constant target: r2 and pearson are undefined")
+    pearson = _one_row(_pearson_rows, p, t)
+    return {"mse": _one_row(_mse_rows, p, t),
+            "mae": _one_row(_mae_rows, p, t), "r2": r2,
+            "pearson": None if np.isnan(pearson) else pearson}
 
 
 def auroc(pred, label):
@@ -63,15 +123,8 @@ def auroc(pred, label):
     Mann-Whitney form on average ranks, so tied scores earn half credit.
     ``label`` may be soft; positives are label > 0.5.
     """
-    p, _ = _pair(pred, label)
-    pos = _positives(label)
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("auroc needs both classes present")
-    ranks = rankdata(p)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
-                 / (n_pos * n_neg))
+    return _one_row(_auroc_rows, *_pair(pred, label),
+                    "auroc needs both classes present")
 
 
 def brier_and_reliability(pred, label):
@@ -81,11 +134,9 @@ def brier_and_reliability(pred, label):
     count) over 10 equal-count bins of the sorted predictions (counts
     differ by at most one; empty bins on tiny inputs are dropped).
     """
-    p, _ = _pair(pred, label)
-    if ((p < 0.0) | (p > 1.0)).any():
-        raise DataError("predictions must lie in [0, 1]")
-    y = _positives(label).astype(np.float64)
-    brier = float(np.mean((p - y) ** 2))
+    p, t = _pair(pred, label)
+    brier = _one_row(_brier_rows, p, t, "predictions must lie in [0, 1]")
+    y = (t > 0.5).astype(np.float64)
     order = np.argsort(p, kind="stable")
     rows = []
     for chunk in np.array_split(order, N_RELIABILITY_BINS):
@@ -128,10 +179,14 @@ def stratified_sens_spec(pred, target):
 
 
 def bootstrap_ci(metric_fn, pred, target, n=10000, level=0.95, seed=0):
-    """Percentile bootstrap interval for metric_fn(pred, target).
+    """Percentile bootstrap interval for a row-wise metric.
 
-    Resamples records with replacement; a resample on which the metric is
-    undefined (raises ValueError) is redrawn, up to 10n attempts total.
+    ``metric_fn(P, T)`` maps (rows, m) arrays, one resample of the m
+    records per row, to one value per row, NaN where the metric is
+    undefined (``ROW_METRICS``). Resamples are drawn as index rows, at
+    most ``_DRAW_ELEMENTS`` indices per draw, the same stream as one draw
+    per resample; the first n defined rows in stream order are kept, out
+    of at most 10n drawn.
     """
     if n < 100:
         raise ValueError(f"n = {n} too small for a percentile interval")
@@ -139,26 +194,28 @@ def bootstrap_ci(metric_fn, pred, target, n=10000, level=0.95, seed=0):
         raise ValueError(f"level {level} outside (0, 1)")
     p, t = _pair(pred, target)
     rng = np.random.default_rng(seed)
-    values = np.empty(n, dtype=np.float64)
-    got = 0
-    for _ in range(10 * n):
-        if got == n:
-            break
-        idx = rng.integers(0, p.size, size=p.size)
-        try:
-            values[got] = float(metric_fn(p[idx], t[idx]))
-        except ValueError:
-            continue
-        got += 1
+    kept = []
+    got = drawn = 0
+    while got < n and drawn < 10 * n:
+        rows = min(n - got, 10 * n - drawn, max(1, _DRAW_ELEMENTS // p.size))
+        idx = rng.integers(0, p.size, size=(rows, p.size))
+        v = np.asarray(metric_fn(p[idx], t[idx]), dtype=np.float64)
+        if v.shape != (rows,):
+            raise ValueError(f"metric_fn returned shape {v.shape} for "
+                             f"{rows} resamples; it must return one value "
+                             f"per row")
+        kept.append(v[~np.isnan(v)])
+        got += kept[-1].size
+        drawn += rows
     if got < n:
         raise DataError(f"metric undefined on too many resamples "
                         f"({got}/{n} succeeded within {10 * n} attempts)")
     alpha = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
+    lo, hi = np.percentile(np.concatenate(kept), [alpha, 100.0 - alpha])
     return float(lo), float(hi)
 
 
 __all__ = [
-    "N_RELIABILITY_BINS", "auroc", "bootstrap_ci", "brier_and_reliability",
-    "regression_metrics", "stratified_sens_spec",
+    "N_RELIABILITY_BINS", "ROW_METRICS", "auroc", "bootstrap_ci",
+    "brier_and_reliability", "regression_metrics", "stratified_sens_spec",
 ]

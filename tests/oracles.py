@@ -6,7 +6,9 @@ different code paths.
 """
 
 import numpy as np
+from scipy.stats import rankdata
 
+from volab.labels import DataError
 from volab.tensor import ShapeError, Tensor, backward
 
 
@@ -142,6 +144,97 @@ def topk_attention_distances(attn, centroids, k=5):
         for _, j in partners[:k]:
             dists.append(float(np.linalg.norm(centroids[i] - centroids[j])))
     return np.array(dists)
+
+
+def attention_distances_loop(records, k=5, include_self=False):
+    """Pooled top-k attention distances, one query of one head at a time,
+    in (record, group, head, query, rank) order."""
+    out = []
+    for rec in records:
+        attn = np.asarray(rec.attn, dtype=np.float64)
+        cents = np.asarray(rec.centroids, dtype=np.float64)
+        if cents.ndim == 2:
+            cents = cents[None]
+        groups, heads, length, _ = attn.shape
+        for g in range(groups):
+            cg = cents[g if cents.shape[0] > 1 else 0]
+            valid = ~np.isnan(cg).any(axis=1)
+            pair_d = np.linalg.norm(cg[:, None, :] - cg[None, :, :], axis=2)
+            for h in range(heads):
+                a = attn[g, h]
+                for i in range(length):
+                    if not valid[i]:
+                        continue
+                    allowed = valid & (a[i] > 0.0)
+                    if not include_self:
+                        allowed[i] = False
+                    cand = np.nonzero(allowed)[0]
+                    if cand.size == 0:
+                        continue
+                    top = cand[np.argsort(-a[i, cand], kind="stable")[:k]]
+                    out.extend(pair_d[i, top])
+    return np.asarray(out, dtype=np.float64)
+
+
+def report_metric_1d(key):
+    """One report metric of a single 1-D (pred, target) resample, written
+    as the plain formula; raises ValueError where it is undefined (every
+    regression metric on a constant target, pearson also on constant
+    predictions, auroc without both classes)."""
+    def fn(p, t):
+        y = t > 0.5
+        if key == "brier":
+            if ((p < 0.0) | (p > 1.0)).any():
+                raise ValueError("predictions outside [0, 1]")
+            return float(np.mean((p - y.astype(np.float64)) ** 2))
+        if key == "auroc":
+            n_pos = int(y.sum())
+            n_neg = y.size - n_pos
+            if n_pos == 0 or n_neg == 0:
+                raise ValueError("one class only")
+            return float((rankdata(p)[y].sum() - n_pos * (n_pos + 1) / 2.0)
+                         / (n_pos * n_neg))
+        err = p - t
+        ss_tot = float(np.sum((t - t.mean()) ** 2))
+        if ss_tot == 0.0:
+            raise ValueError("constant target")
+        if key == "mse":
+            return float(np.mean(err * err))
+        if key == "mae":
+            return float(np.mean(np.abs(err)))
+        if key == "r2":
+            return 1.0 - float(np.sum(err * err)) / ss_tot
+        sp = float(p.std())
+        if sp == 0.0:
+            raise ValueError("constant predictions")
+        cov = float(np.mean((p - p.mean()) * (t - t.mean())))
+        return cov / (sp * float(t.std()))
+    return fn
+
+
+def bootstrap_ci_loop(metric_fn, pred, target, n=10000, level=0.95, seed=0):
+    """Percentile bootstrap, one resample per draw: a resample on which
+    ``metric_fn`` raises ValueError is redrawn, up to 10n attempts."""
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    values = np.empty(n, dtype=np.float64)
+    got = 0
+    for _ in range(10 * n):
+        if got == n:
+            break
+        idx = rng.integers(0, p.size, size=p.size)
+        try:
+            values[got] = float(metric_fn(p[idx], t[idx]))
+        except ValueError:
+            continue
+        got += 1
+    if got < n:
+        raise DataError(f"metric undefined on too many resamples "
+                        f"({got}/{n} succeeded within {10 * n} attempts)")
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
+    return float(lo), float(hi)
 
 
 def cka_direct(x, y):

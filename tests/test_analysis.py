@@ -29,7 +29,12 @@ from volab.models import (
 from volab.tensor import NumericError, ShapeError, Tensor, backward, mean, \
     mul, tsum
 
-from oracles import cka_direct, swin_reachable_extent, topk_attention_distances
+from oracles import (
+    attention_distances_loop,
+    cka_direct,
+    swin_reachable_extent,
+    topk_attention_distances,
+)
 
 
 class _LinearStub:
@@ -298,6 +303,10 @@ def _record(attn, cents, layer="L"):
                            centroids=np.asarray(cents, np.float64))
 
 
+_ORDER_CASES = ("tied_weights", "zero_weights", "nan_class_rows",
+                "k_above_length", "include_self", "per_group_centroids")
+
+
 class TestAttentionDistances:
     def test_two_tokens_three_voxels_apart(self):
         rec = _record([[[[0.0, 1.0], [1.0, 0.0]]]], [[0.0], [3.0]])
@@ -349,6 +358,35 @@ class TestAttentionDistances:
                     want.extend(topk_attention_distances(attn[g, h], cents,
                                                          k=k))
             assert np.allclose(np.sort(mine), np.sort(want), atol=1e-12)
+
+    @pytest.mark.parametrize("case", _ORDER_CASES)
+    def test_matches_per_query_loop_in_order(self, case):
+        rng = np.random.default_rng(_ORDER_CASES.index(case))
+        records = []
+        for r in range(3):
+            groups, L = 3, int(rng.integers(4, 9))
+            if case == "tied_weights":
+                attn = rng.choice([0.125, 0.25, 0.5], size=(groups, 2, L, L))
+            else:
+                attn = rng.uniform(size=(groups, 2, L, L))
+            if case in ("zero_weights", "nan_class_rows",
+                        "per_group_centroids"):
+                attn[rng.uniform(size=attn.shape) < 0.3] = 0.0
+            shape = (groups, L, 3) if case == "per_group_centroids" else (L, 3)
+            cents = rng.uniform(0, 30, size=shape)
+            if case in ("nan_class_rows", "per_group_centroids"):
+                cents[..., r % L, :] = np.nan
+            if case == "per_group_centroids":  # a different CLS row per group
+                for g in range(groups):
+                    cents[g, (r + g + 1) % L] = np.nan
+            records.append(_record(attn, cents, layer=f"L{r}"))
+        k = {"k_above_length": 12, "tied_weights": 3}.get(case, 2)
+        include_self = case == "include_self"
+        mine = attention_distances(records, k=k, include_self=include_self)
+        want = attention_distances_loop(records, k=k,
+                                        include_self=include_self)
+        assert want.size > 0
+        assert np.array_equal(mine, want)
 
     def test_real_vit_records(self):
         cfg = desk_config("vit3d")

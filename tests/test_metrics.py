@@ -1,12 +1,16 @@
 """Metric definitions vs brute-force oracles and distributional checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volab import metrics
 from volab.labels import DataError
 from volab.metrics import (
+    ROW_METRICS,
     auroc,
     bootstrap_ci,
     brier_and_reliability,
@@ -14,7 +18,7 @@ from volab.metrics import (
     stratified_sens_spec,
 )
 
-from oracles import auroc_pairs
+from oracles import auroc_pairs, bootstrap_ci_loop, report_metric_1d
 
 unit_floats = st.floats(0.0, 1.0, width=64)
 
@@ -213,16 +217,24 @@ class TestStratified:
         assert bins["healthy"]["specificity"] is None
 
 
+def _mean_rows(p, t):
+    return p.mean(axis=1)
+
+
+def _undefined_rows(p, t):
+    return np.full(len(p), np.nan)
+
+
 class TestBootstrap:
     def test_zero_variance_width_zero(self):
         x = np.full(50, 0.3)
-        lo, hi = bootstrap_ci(lambda p, t: p.mean(), x, x, n=200, seed=0)
+        lo, hi = bootstrap_ci(_mean_rows, x, x, n=200, seed=0)
         assert lo == hi == pytest.approx(0.3)
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(1)
         p, t = rng.uniform(size=40), rng.uniform(size=40)
-        f = lambda a, b: regression_metrics(a, b)["mse"]
+        f = ROW_METRICS["mse"]
         assert (bootstrap_ci(f, p, t, n=500, seed=7)
                 == bootstrap_ci(f, p, t, n=500, seed=7))
 
@@ -230,7 +242,7 @@ class TestBootstrap:
         rng = np.random.default_rng(2)
         t = rng.uniform(size=80)
         p = np.clip(t + rng.normal(0, 0.1, size=80), 0, 1)
-        lo, hi = bootstrap_ci(auroc, p, t, n=500, seed=3)
+        lo, hi = bootstrap_ci(ROW_METRICS["auroc"], p, t, n=500, seed=3)
         assert lo <= auroc(p, t) <= hi
         assert 0.0 <= lo < hi <= 1.0
 
@@ -238,18 +250,23 @@ class TestBootstrap:
         # one positive in six: many resamples miss it and must be redrawn
         p = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.99])
         t = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-        lo, hi = bootstrap_ci(auroc, p, t, n=100, seed=5)
+        lo, hi = bootstrap_ci(ROW_METRICS["auroc"], p, t, n=100, seed=5)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_always_failing_metric_reported(self):
-        def bad(p, t):
-            raise ValueError("nope")
         with pytest.raises(DataError, match="resamples"):
-            bootstrap_ci(bad, np.zeros(4), np.zeros(4), n=100, seed=0)
+            bootstrap_ci(_undefined_rows, np.zeros(4), np.zeros(4), n=100,
+                         seed=0)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(lambda p, t: 0.0, np.zeros(4), np.zeros(4), n=50)
+            bootstrap_ci(lambda p, t: np.zeros(len(p)), np.zeros(4),
+                         np.zeros(4), n=50)
+
+    def test_scalar_metric_rejected(self):
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="one value per row"):
+            bootstrap_ci(lambda p, t: float(p.mean()), x, x, n=100)
 
     def test_coverage_of_the_mean(self):
         """95% interval for the sample mean covers the true mean about 95%
@@ -259,7 +276,88 @@ class TestBootstrap:
         trials = 200
         for trial in range(trials):
             x = rng.normal(0.0, 1.0, size=40)
-            lo, hi = bootstrap_ci(lambda p, t: p.mean(), x, x,
-                                  n=10000, seed=trial)
+            lo, hi = bootstrap_ci(_mean_rows, x, x, n=10000, seed=trial)
             hits += lo <= 0.0 <= hi
         assert abs(hits / trials - 0.95) <= 0.03
+
+    def test_memory_bounded_by_draw_cap(self):
+        """One draw of n x m indices would hold n * m * 8 bytes (73 MiB
+        here); chunked draws peak far below that."""
+        n, m = 200_000, 48
+        x = np.random.default_rng(12).uniform(size=m)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(_mean_rows, x, x, n=n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 4
+
+
+def _bootstrap_inputs(kind, m=24):
+    rng = np.random.default_rng(BOOTSTRAP_INPUTS.index(kind))
+    if kind == "continuous":
+        t = rng.uniform(size=m)
+        return np.clip(t + rng.normal(0, 0.15, size=m), 0, 1), t
+    if kind == "tied":
+        return (np.round(rng.uniform(size=m), 1),
+                np.round(rng.uniform(size=m), 1))
+    if kind == "hard_label":
+        return rng.uniform(size=m), (rng.uniform(size=m) > 0.5) * 1.0
+    # one positive: about a third of all resamples miss it, so every
+    # metric redraws (the regression ones on a constant target)
+    t = np.zeros(m)
+    t[4] = 1.0
+    return rng.uniform(size=m), t
+
+
+BOOTSTRAP_INPUTS = ("continuous", "tied", "hard_label", "one_positive")
+
+
+class TestBootstrapMatchesLoop:
+    """The chunked row-wise bootstrap keeps exactly the resamples, and so
+    the interval, of one draw and one scalar metric call per resample."""
+
+    @pytest.mark.parametrize("kind", BOOTSTRAP_INPUTS)
+    @pytest.mark.parametrize("key", sorted(ROW_METRICS))
+    def test_report_metrics_equal(self, key, kind):
+        p, t = _bootstrap_inputs(kind)
+        for n, seed in ((100, 0), (400, 1)):
+            assert (bootstrap_ci(ROW_METRICS[key], p, t, n=n, seed=seed)
+                    == bootstrap_ci_loop(report_metric_1d(key), p, t, n=n,
+                                         seed=seed))
+
+    @pytest.mark.parametrize("cap", [1, 7 * 12, 50 * 12])
+    @pytest.mark.parametrize("kind", ["continuous", "one_positive"])
+    def test_equal_across_many_chunks(self, kind, cap, monkeypatch):
+        # cap 1 draws one row per chunk; the others split n in uneven runs
+        monkeypatch.setattr(metrics, "_DRAW_ELEMENTS", cap)
+        p, t = _bootstrap_inputs(kind, m=12)
+        for key in sorted(ROW_METRICS):
+            assert (bootstrap_ci(ROW_METRICS[key], p, t, n=300, seed=4)
+                    == bootstrap_ci_loop(report_metric_1d(key), p, t, n=300,
+                                         seed=4))
+
+    @pytest.mark.parametrize("case", ["never_defined", "rarely_defined"])
+    def test_same_error_text(self, case):
+        x = np.array([0.0, 1.0, 2.0])
+        if case == "never_defined":
+            rows = _undefined_rows
+
+            def one(p, t):
+                raise ValueError("undefined")
+        else:
+            # defined only when all three draws pick record 0: 1 in 27
+            def rows(p, t):
+                return np.where(p.max(axis=1) == 0.0, 1.0, np.nan)
+
+            def one(p, t):
+                if p.max() != 0.0:
+                    raise ValueError("undefined")
+                return 1.0
+        with pytest.raises(DataError) as mine:
+            bootstrap_ci(rows, x, x, n=100, seed=2)
+        with pytest.raises(DataError) as want:
+            bootstrap_ci_loop(one, x, x, n=100, seed=2)
+        assert str(mine.value) == str(want.value)
+        assert "within 1000 attempts" in str(mine.value)
