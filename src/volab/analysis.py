@@ -223,15 +223,15 @@ def theoretical_rf(cfg, stage):
 # attention distances
 
 
-def attention_distances(records, k=5, include_self=False):
+def attention_distances(records, k=5):
     """Pooled voxel distances from each query to its k most-attended
     tokens, over every record, group, and head.
 
     Class tokens (NaN centroid rows) never appear as query or target;
-    self-attention pairs are excluded unless ``include_self``; only
-    strictly positive attention weights are candidates; ties prefer the
-    lower token index. Distances come out in (record, group, head, query,
-    rank) order, from one stable argsort per record.
+    self-attention pairs are excluded; only strictly positive attention
+    weights are candidates; ties prefer the lower token index. Distances
+    come out in (record, group, head, query, rank) order, from one stable
+    argsort per record.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -254,9 +254,8 @@ def attention_distances(records, k=5, include_self=False):
                                 axis=3)
         allowed = ((attn > 0.0) & valid[:, None, :, None]
                    & valid[:, None, None, :])
-        if not include_self:
-            diag = np.arange(length)
-            allowed[..., diag, diag] = False
+        diag = np.arange(length)
+        allowed[..., diag, diag] = False
         top = np.argsort(np.where(allowed, -attn, np.inf), axis=-1,
                          kind="stable")[..., :k]
         d = np.take_along_axis(pair_d[:, None], top, axis=-1)

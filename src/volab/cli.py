@@ -1,6 +1,7 @@
 """Deterministic command-line front end tying the pipeline together:
-phantom dataset generation, cross-validated training, mechanistic analysis
-(effective receptive fields, attention distances, CKA), and report emission.
+phantom dataset generation, cross-validated training of every fold,
+mechanistic analysis (effective receptive fields, attention distances,
+CKA), and the report tables as CSV.
 
 Every command is a pure function of (args, config files, dataset bytes,
 seed); rerunning with identical inputs produces byte-identical outputs,
@@ -115,10 +116,6 @@ def json_bytes(payload):
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def write_json(path, payload):
-    write_atomic(path, json_bytes(payload))
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 
@@ -195,6 +192,9 @@ def model_from_block(block):
         if scale not in ("desk", "paper"):
             raise UsageError(f"model scale must be desk or paper, "
                              f"got {scale!r}")
+        if not isinstance(preset, str):
+            raise UsageError(f"model preset must be a string, "
+                             f"got {preset!r}")
         try:
             cfg = (desk_config if scale == "desk" else paper_config)(preset)
         except KeyError as err:
@@ -306,7 +306,7 @@ def _write_fold(out_dir, k, result, model, rows):
 def _check_run_dir(out_dir, resolved):
     """A run directory holds one run: train writes into ``out_dir`` only
     when it is absent or empty, or when its resolved config is byte-equal
-    to ``resolved`` (a rerun, or ``--fold K`` adding to its own run)."""
+    to ``resolved`` (a rerun)."""
     path = os.path.join(out_dir, RESOLVED_CONFIG)
     if not os.path.exists(out_dir) or os.path.isdir(out_dir) and (
             not os.listdir(out_dir) or os.path.isfile(path)
@@ -322,8 +322,6 @@ def cmd_train(args):
         raise UsageError(f"--parallel-folds must be >= 1, "
                          f"got {args.parallel_folds}")
     cfg = load_experiment(args.config)
-    if args.fold is not None and not 0 <= args.fold < cfg.n_folds:
-        raise UsageError(f"--fold {args.fold} outside 0..{cfg.n_folds - 1}")
     base = os.path.dirname(os.path.abspath(args.config))
     model_cfg, default_name = model_from_block(cfg.model)
     name = cfg.name or default_name
@@ -344,21 +342,18 @@ def cmd_train(args):
                                    root=os.path.dirname(manifest))
     os.makedirs(out_dir, exist_ok=True)
     write_atomic(os.path.join(out_dir, RESOLVED_CONFIG), resolved)
-    folds = range(cfg.n_folds) if args.fold is None else [args.fold]
     outs = cross_validate(records, samples, model_cfg, train_cfg, split,
-                          folds, args.parallel_folds)
+                          args.parallel_folds)
     pooled = {}
-    for k, (res, model, test_idx, preds) in zip(folds, outs):
+    for k, (res, model, test_idx, preds) in enumerate(outs):
         rows = _prediction_rows(records, test_idx, preds, k)
         _write_fold(out_dir, k, res, model, rows)
         pooled.update(zip(test_idx, rows))
         print(f"{name} fold {k}: best epoch {res.best_epoch}, "
               f"val mse {res.best_val_mse:.6f}")
-    if args.fold is None:
-        write_csv(os.path.join(out_dir, POOLED_PREDICTIONS),
-                  PREDICTIONS_HEADER,
-                  [pooled[i] for i in range(len(records))])
-    print(f"{name}: {len(folds)} of {cfg.n_folds} folds -> {out_dir}")
+    write_csv(os.path.join(out_dir, POOLED_PREDICTIONS), PREDICTIONS_HEADER,
+              [pooled[i] for i in range(len(records))])
+    print(f"{name}: {len(outs)} of {cfg.n_folds} folds -> {out_dir}")
     return 0
 
 
@@ -368,14 +363,19 @@ def cmd_train(args):
 
 def _read_run_config(path):
     """A training run's resolved config and its ModelConfig. A missing key,
-    a bad seed or a malformed model block is a data error; keys nothing
-    reads are ignored, as are the model block's deleted ``in_channels``
-    and ``preset``, which runs trained before their deletion hold."""
+    a name or manifest that is not a string, a bad seed or a malformed
+    model block is a data error; keys nothing reads are ignored, as are
+    the model block's deleted ``in_channels`` and ``preset``, which runs
+    trained before their deletion hold."""
     run_cfg = read_json_object(path, "resolved config")
     missing = [k for k in ("name", "seed", "model", "manifest")
                if k not in run_cfg]
     if missing:
         raise DataError(f"{path} lacks {missing}")
+    for key in ("name", "manifest"):
+        if not isinstance(run_cfg[key], str):
+            raise DataError(f"{path}: {key} must be a string, "
+                            f"got {run_cfg[key]!r}")
     if not _is_seed(run_cfg["seed"]):
         raise DataError(f"{path}: seed must be a non-negative integer, "
                         f"got {run_cfg['seed']!r}")
@@ -645,24 +645,13 @@ def cmd_report(args):
                             count])
     out_dir = args.out or args.runs
     os.makedirs(out_dir, exist_ok=True)
-    if args.format == "csv":
-        write_csv(os.path.join(out_dir, "table2.csv"), header2, rows2)
-        write_csv(os.path.join(out_dir, "table3.csv"), TABLE3_HEADER, rows3)
-        write_csv(os.path.join(out_dir, "reliability.csv"),
-                  RELIABILITY_HEADER, rows_rel)
-        print(f"report: {len(rows2)} runs -> "
-              f"{os.path.join(out_dir, 'table2.csv')}, table3.csv, "
-              f"reliability.csv")
-    else:
-        payload = {
-            "table2": [dict(zip(header2, r)) for r in rows2],
-            "table3": [dict(zip(TABLE3_HEADER, r)) for r in rows3],
-            "reliability": [dict(zip(RELIABILITY_HEADER, r))
-                            for r in rows_rel],
-        }
-        write_json(os.path.join(out_dir, "report.json"), payload)
-        print(f"report: {len(rows2)} runs -> "
-              f"{os.path.join(out_dir, 'report.json')}")
+    write_csv(os.path.join(out_dir, "table2.csv"), header2, rows2)
+    write_csv(os.path.join(out_dir, "table3.csv"), TABLE3_HEADER, rows3)
+    write_csv(os.path.join(out_dir, "reliability.csv"), RELIABILITY_HEADER,
+              rows_rel)
+    print(f"report: {len(rows2)} runs -> "
+          f"{os.path.join(out_dir, 'table2.csv')}, table3.csv, "
+          f"reliability.csv")
     return 0
 
 
@@ -711,17 +700,15 @@ def build_parser():
 
     p = sub.add_parser(
         "train", help="train patient-grouped cross-validation folds",
-        description="Train from an experiment config JSON: per-fold "
-                    "checkpoint + history CSV, and pooled out-of-fold "
-                    "predictions when all folds run. The mandatory master "
+        description="Train every fold from an experiment config JSON: "
+                    "per-fold checkpoint + history CSV, and pooled "
+                    "out-of-fold predictions. The mandatory master "
                     "seed fans out to named sub-streams "
                     f"({', '.join(SEED_STREAMS)}).",
         epilog=_SCHEMA_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", required=True,
                    help="experiment config JSON path")
-    p.add_argument("--fold", type=int, default=None,
-                   help="train a single fold index (default: every fold)")
     p.add_argument("--parallel-folds", type=int, default=1, metavar="N",
                    help="train up to N folds at once on a thread pool "
                         "(default 1; outputs do not depend on N)")
@@ -767,13 +754,11 @@ def build_parser():
         "report", help="aggregate runs into performance tables",
         description="One Table-2-schema row per run plus Table-3-schema "
                     "stratified rows and a reliability table, recomputed "
-                    "from each run's pooled predictions. --format json "
-                    "emits the same values as a single report.json.",
+                    "from each run's pooled predictions, as CSV files.",
         epilog=_SCHEMA_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--runs", required=True,
                    help="directory of run directories (or a single run)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--ci", action="store_true",
                    help="append bootstrap confidence-interval columns")
     p.add_argument("--bootstrap-n", dest="bootstrap_n", type=int,

@@ -289,7 +289,6 @@ class StageTap:
     kind: str
     data: Tensor
     centroids: np.ndarray = None
-    has_cls: bool = False
 
 
 @dataclass
@@ -306,14 +305,14 @@ class ResidualBlock(Module):
         super().__init__()
         k = (3,) * nd
         self.conv1 = Conv(rng, in_ch, out_ch, k, stride=stride, padding=1,
-                          bias=False, dtype=dtype)
+                          dtype=dtype)
         self.bn1 = BatchNorm(out_ch, dtype=dtype)
         self.conv2 = Conv(rng, out_ch, out_ch, k, stride=1, padding=1,
-                          bias=False, dtype=dtype)
+                          dtype=dtype)
         self.bn2 = BatchNorm(out_ch, dtype=dtype)
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv(rng, in_ch, out_ch, (1,) * nd, stride=stride,
-                             padding=0, bias=False, dtype=dtype)
+                             padding=0, dtype=dtype)
             self.proj_bn = BatchNorm(out_ch, dtype=dtype)
         else:
             self.proj = None
@@ -333,7 +332,7 @@ class ConvBackbone(Module):
         super().__init__()
         self.nd = nd
         self.stem = Conv(rng, in_ch, stem_ch, (3,) * nd, stride=1, padding=1,
-                         bias=False, dtype=dtype)
+                         dtype=dtype)
         self.stem_bn = BatchNorm(stem_ch, dtype=dtype)
         blocks = []
         prev = stem_ch
@@ -345,7 +344,7 @@ class ConvBackbone(Module):
 
     def __call__(self, x):
         pool = pool3d if self.nd == 3 else pool2d
-        h = pool(relu(self.stem_bn(self.stem(x))), "max", 2, stride=2)
+        h = pool(relu(self.stem_bn(self.stem(x))), 2, stride=2)
         taps = []
         for blk in self.blocks:
             h = blk(h)
@@ -468,8 +467,7 @@ class VitNet(ModelInstance):
             t, attn = blk(t, rng=rng)
             records.append(AttentionRecord(layer=name, attn=attn,
                                            centroids=cls_cents[None]))
-            stages.append(StageTap(name, "tokens", t, centroids=cls_cents,
-                                   has_cls=True))
+            stages.append(StageTap(name, "tokens", t, centroids=cls_cents))
         t = self.norm(t)
         cls_out = reshape(narrow(t, 1, 0, 1), (n, self.config.embed_dim))
         pred = reshape(sigmoid(self.head(cls_out)), (n,))

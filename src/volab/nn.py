@@ -128,10 +128,11 @@ class Linear(Module):
 
 
 class Conv(Module):
-    """2-D or 3-D convolution selected by the length of `kernel`."""
+    """2-D or 3-D convolution, selected by the length of `kernel`, without
+    a bias: every conv feeds a BatchNorm, whose shift takes its place."""
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride=1, padding=0,
-                 bias=True, dtype=np.float32):
+                 dtype=np.float32):
         super().__init__()
         kernel = tuple(int(k) for k in kernel)
         if len(kernel) not in (2, 3):
@@ -142,13 +143,10 @@ class Conv(Module):
         fan_in = in_ch * _prod(kernel)
         self.weight = _normal(rng, (out_ch, in_ch) + kernel,
                               1.0 / math.sqrt(fan_in), dtype)
-        self.bias = (Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
-                     if bias else None)
 
     def __call__(self, x):
         op = conv3d if len(self.kernel) == 3 else conv2d
-        return op(x, self.weight, bias=self.bias, stride=self.stride,
-                  padding=self.padding)
+        return op(x, self.weight, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm(Module):
@@ -182,10 +180,11 @@ class BatchNorm(Module):
                                   + m * batch_mean).astype(x.data.dtype)
             rb["running_var"] = ((1 - m) * rb["running_var"]
                                  + m * batch_var).astype(x.data.dtype)
-            return batch_norm(x, self.gamma, self.beta, eps=self.eps,
-                              stats=(batch_mean, batch_var), frozen=False)
+            return batch_norm(x, self.gamma, self.beta,
+                              (batch_mean, batch_var), eps=self.eps,
+                              frozen=False)
         stats = (self._buffers["running_mean"], self._buffers["running_var"])
-        return batch_norm(x, self.gamma, self.beta, eps=self.eps, stats=stats)
+        return batch_norm(x, self.gamma, self.beta, stats, eps=self.eps)
 
 
 class LayerNorm(Module):

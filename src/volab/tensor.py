@@ -354,20 +354,18 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _normalize("layer_norm", x, gamma, beta, last, (last,), eps)
 
 
-def batch_norm(x, gamma, beta, eps=1e-5, stats=None, frozen=True):
-    """Channel-axis-1 batch normalization.
-
-    The training form computes biased statistics over every axis but 1
-    and differentiates through them. ``stats=(mean, var)`` gives
-    per-channel statistics: by default the frozen ones of the inference
-    form, or with ``frozen=False`` x's own batch statistics, already
-    computed by the caller, for the training form.
+def batch_norm(x, gamma, beta, stats, eps=1e-5, frozen=True):
+    """Channel-axis-1 batch normalization with per-channel statistics
+    ``stats=(mean, var)``: by default the frozen ones of the inference
+    form, or with ``frozen=False`` x's own biased batch statistics over
+    every axis but 1, already computed by the caller, which the training
+    form differentiates through.
     """
     if x.ndim < 2:
         raise ShapeError("batch_norm expects (N, C, ...) input")
     over = (0,) + tuple(range(2, x.ndim))
     return _normalize("batch_norm", x, gamma, beta, 1, over, eps, stats,
-                      frozen=frozen and stats is not None)
+                      frozen=frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -467,33 +465,31 @@ def _norm_axis(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def tsum(x, axis=None, keepdims=False):
+def _unreduce(g, x_shape, axes):
+    """Broadcast the gradient of a reduction over ``axes`` back to x."""
+    shape = list(x_shape)
+    for a in axes:
+        shape[a] = 1
+    return np.broadcast_to(g.reshape(shape), x_shape).copy()
+
+
+def tsum(x, axis=None):
     axes = _norm_axis(axis, x.ndim)
-    out = x.data.sum(axis=axes, keepdims=keepdims)
+    out = x.data.sum(axis=axes)
 
     def vjp(g):
-        if not keepdims:
-            shape = list(x.shape)
-            for a in axes:
-                shape[a] = 1
-            g = g.reshape(shape)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (_unreduce(g, x.shape, axes),)
 
     return _make("sum", out, (x,), vjp)
 
 
-def mean(x, axis=None, keepdims=False):
+def mean(x, axis=None):
     axes = _norm_axis(axis, x.ndim)
     count = int(np.prod([x.shape[a] for a in axes]))
-    out = x.data.mean(axis=axes, keepdims=keepdims)
+    out = x.data.mean(axis=axes)
 
     def vjp(g):
-        if not keepdims:
-            shape = list(x.shape)
-            for a in axes:
-                shape[a] = 1
-            g = g.reshape(shape)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+        return (_unreduce(g / count, x.shape, axes),)
 
     return _make("mean", out, (x,), vjp)
 
@@ -628,7 +624,7 @@ class _ShiftedGrid:
         return gx, gw
 
 
-def conv3d(x, w, bias=None, stride=1, padding=0):
+def conv3d(x, w, stride=1, padding=0):
     """3-D cross-correlation on NCDHW input with OIKdKhKw kernels.
 
     Two paths, chosen from the stride and the input channels alone:
@@ -660,8 +656,6 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
     pd, ph, pw = padding
     if kd > d + 2 * pd or kh > h + 2 * ph or kw > wd + 2 * pw:
         raise ShapeError("conv3d: kernel larger than padded input")
-    if bias is not None and bias.shape != (o,):
-        raise ShapeError("conv3d: bias must have shape (out_channels,)")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) \
         if any(padding) else x.data
@@ -676,8 +670,6 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
         shifted = None
         out = _correlate(xp, w_mat, window, stride)
     cols_shape = (n, c) + window + out.shape[2:]
-    if bias is not None:
-        out = out + bias.data.reshape(1, o, 1, 1, 1)
 
     def vjp(g):
         gx = gw = None
@@ -699,15 +691,12 @@ def conv3d(x, w, bias=None, stride=1, padding=0):
                     cols = _gather_windows(xp[k:k + 1], window, stride)
                     gw += g_mat[k] @ cols.reshape(gw.shape[1], -1).T
                 gw = gw.reshape(w.shape)
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3, 4))
         return gx, gw
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _make("conv3d", out, inputs, vjp)
+    return _make("conv3d", out, (x, w), vjp)
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0):
+def conv2d(x, w, stride=1, padding=0):
     """2-D convolution routed through conv3d with a singleton depth axis."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects (N,C,H,W) input and (O,I,kh,kw) kernel")
@@ -717,17 +706,15 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
         padding = (padding, padding)
     x3 = reshape(x, (x.shape[0], x.shape[1], 1) + x.shape[2:])
     w3 = reshape(w, (w.shape[0], w.shape[1], 1) + w.shape[2:])
-    out = conv3d(x3, w3, bias=bias, stride=(1,) + tuple(stride),
+    out = conv3d(x3, w3, stride=(1,) + tuple(stride),
                  padding=(0,) + tuple(padding))
     return reshape(out, (out.shape[0], out.shape[1]) + out.shape[3:])
 
 
-def pool3d(x, kind="max", window=2, stride=None):
-    """Max or average pooling over NCDHW input. The window must fit the
-    input. The tape keeps the input, not the windows: the max VJP gathers
-    them again from it."""
-    if kind not in ("max", "avg"):
-        raise ShapeError(f"pool3d kind must be max|avg, got {kind!r}")
+def pool3d(x, window=2, stride=None):
+    """Max pooling over NCDHW input. The window must fit the input. The
+    tape keeps the input, not the windows: the VJP gathers them again
+    from it."""
     window = _triple(window, "window")
     stride = window if stride is None else _triple(stride, "stride")
     if x.ndim != 5:
@@ -739,39 +726,29 @@ def pool3d(x, kind="max", window=2, stride=None):
     cols = _gather_windows(x.data, window, stride)
     shape = cols.shape  # the closure keeps the shape, not the buffer
     count = window[0] * window[1] * window[2]
-    flat = cols.reshape((n, c, count) + shape[5:])
+    out = cols.reshape((n, c, count) + shape[5:]).max(axis=2)
 
-    if kind == "max":
-        out = flat.max(axis=2)
-
-        def vjp(g):
-            # each window's gradient goes to its first maximum, argmax's
-            # tie rule; one pass over the window offsets, not an argmax
-            flat = _gather_windows(x.data, window, stride).reshape(
-                (n, c, count) + shape[5:])
-            gflat = np.empty_like(flat)
-            free = np.ones(out.shape, bool)
-            hit = np.empty(out.shape, bool)
-            for i in range(count):
-                np.equal(flat[:, :, i], out, out=hit)
-                hit &= free
-                free ^= hit
-                np.multiply(g, hit, out=gflat[:, :, i])
-            return (_scatter_windows(np.zeros_like(x.data),
-                                     gflat.reshape(shape), stride),)
-
-    else:
-        out = flat.mean(axis=2)
-
-        def vjp(g):
-            share = np.broadcast_to((g / count)[:, :, None, None, None], shape)
-            return (_scatter_windows(np.zeros_like(x.data), share, stride),)
+    def vjp(g):
+        # each window's gradient goes to its first maximum, argmax's tie
+        # rule; one pass over the window offsets, not an argmax
+        flat = _gather_windows(x.data, window, stride).reshape(
+            (n, c, count) + shape[5:])
+        gflat = np.empty_like(flat)
+        free = np.ones(out.shape, bool)
+        hit = np.empty(out.shape, bool)
+        for i in range(count):
+            np.equal(flat[:, :, i], out, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gflat[:, :, i])
+        return (_scatter_windows(np.zeros_like(x.data),
+                                 gflat.reshape(shape), stride),)
 
     return _make("pool3d", out, (x,), vjp)
 
 
-def pool2d(x, kind="max", window=2, stride=None):
-    """2-D pooling routed through pool3d with a singleton depth axis."""
+def pool2d(x, window=2, stride=None):
+    """2-D max pooling routed through pool3d with a singleton depth axis."""
     if x.ndim != 4:
         raise ShapeError("pool2d expects (N,C,H,W) input")
     if isinstance(window, int):
@@ -781,7 +758,7 @@ def pool2d(x, kind="max", window=2, stride=None):
     elif isinstance(stride, int):
         stride = (stride, stride)
     x3 = reshape(x, (x.shape[0], x.shape[1], 1) + x.shape[2:])
-    out = pool3d(x3, kind=kind, window=(1,) + tuple(window),
+    out = pool3d(x3, window=(1,) + tuple(window),
                  stride=(1,) + tuple(stride))
     return reshape(out, (out.shape[0], out.shape[1]) + out.shape[3:])
 

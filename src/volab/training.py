@@ -258,22 +258,18 @@ HISTORY_HEADER = ["epoch", "train_mse", "val_mse", "lr"]
 
 
 def cross_validate(records, samples, model_cfg, train_cfg, split,
-                   folds=None, n_workers=1):
+                   n_workers=1):
     """Patient-grouped k-fold over ``split``, the per-fold record indices
     of ``stratified_patient_split``: fold k is the test set, fold (k+1)
     mod len(split) the validation set, the rest train, and the model and
-    permutation seeds are offset by k. Each requested fold (default:
-    every fold) trains from scratch, on the calling thread when n_workers
-    is 1 and otherwise on a pool of n_workers threads; folds share no
-    state, so n_workers never changes a result. Returns (FoldResult,
-    model, test_idx, preds) per requested fold, in order."""
+    permutation seeds are offset by k. Every fold trains from scratch, on
+    the calling thread when n_workers is 1 and otherwise on a pool of
+    n_workers threads; folds share no state, so n_workers never changes a
+    result. Returns (FoldResult, model, test_idx, preds) per fold, in
+    order."""
     if len(records) != len(samples):
         raise ValueError("records/samples misaligned")
     n_folds = len(split)
-    folds = range(n_folds) if folds is None else folds
-    for k in folds:
-        if not 0 <= k < n_folds:
-            raise ValueError(f"fold {k} outside 0..{n_folds - 1}")
 
     def run(k):
         test_idx = split[k]
@@ -293,13 +289,13 @@ def cross_validate(records, samples, model_cfg, train_cfg, split,
         # training freed, where later work on the main thread cannot
         # reuse it (a 72-phantom cnn3d train-then-analyze loop on a 2-core
         # host peaked at 440 MiB this way, 730 MiB on a one-thread pool)
-        return [run(k) for k in folds]
+        return [run(k) for k in range(n_folds)]
     # n_workers folds are live at once, each with its model and tape, and
     # that sets the peak RSS, not the arenas: on a 2-core host the desk
     # run peaked at 358 MiB with 2 workers against 247 MiB with 1, and
     # MALLOC_ARENA_MAX=1 cut a 2-worker peak only from 518-544 to 512 MiB
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run, folds))
+        return list(pool.map(run, range(n_folds)))
 
 
 __all__ = [

@@ -304,7 +304,7 @@ def _record(attn, cents, layer="L"):
 
 
 _ORDER_CASES = ("tied_weights", "zero_weights", "nan_class_rows",
-                "k_above_length", "include_self", "per_group_centroids")
+                "k_above_length", "per_group_centroids")
 
 
 class TestAttentionDistances:
@@ -321,8 +321,6 @@ class TestAttentionDistances:
         eye = np.eye(3)[None, None]
         rec = _record(eye, [[0.0], [1.0], [2.0]])
         assert attention_distances([rec]).size == 0
-        with_self = attention_distances([rec], include_self=True)
-        assert np.allclose(with_self, 0.0) and with_self.size == 3
 
     def test_cls_rows_excluded(self):
         attn = np.full((1, 1, 3, 3), 1 / 3)
@@ -381,10 +379,8 @@ class TestAttentionDistances:
                     cents[g, (r + g + 1) % L] = np.nan
             records.append(_record(attn, cents, layer=f"L{r}"))
         k = {"k_above_length": 12, "tied_weights": 3}.get(case, 2)
-        include_self = case == "include_self"
-        mine = attention_distances(records, k=k, include_self=include_self)
-        want = attention_distances_loop(records, k=k,
-                                        include_self=include_self)
+        mine = attention_distances(records, k=k)
+        want = attention_distances_loop(records, k=k)
         assert want.size > 0
         assert np.array_equal(mine, want)
 

@@ -219,17 +219,6 @@ class TestTrain:
         assert [(float(r[3]), int(r[4])) for r in rows] == \
             [pooled[i] for i in range(len(records))]
 
-    def test_single_fold_reproduces_full_run_artifacts(self, workdir):
-        run = workdir / "runs" / "vit3d"
-        want_ckpt = _sha(run / "fold1.ckpt")
-        want_hist = _sha(run / "fold1_history.csv")
-        want_pred = _sha(run / "fold1_predictions.csv")
-        assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
-                         "--fold", "1"]) == 0
-        assert _sha(run / "fold1.ckpt") == want_ckpt
-        assert _sha(run / "fold1_history.csv") == want_hist
-        assert _sha(run / "fold1_predictions.csv") == want_pred
-
     def test_rerun_is_byte_identical(self, workdir):
         run = workdir / "runs" / "vit3d"
         before = _tree_hashes(run)
@@ -261,9 +250,10 @@ class TestTrain:
         bad.write_text(json.dumps(cfg))  # master seed missing
         assert cli.main(["train", "--config", str(bad)]) == 1
         cfg["seed"] = 1
-        cfg["model"] = {"preset": "cnn9d"}
-        bad.write_text(json.dumps(cfg))
-        assert cli.main(["train", "--config", str(bad)]) == 1
+        for preset in ("cnn9d", ["cnn3d"], {"cnn3d": 1}, 3):
+            cfg["model"] = {"preset": preset}
+            bad.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(bad)]) == 1, preset
         cfg["model"] = {"preset": "cnn3d"}
         for count in ("max_epochs", "physical_batch", "accumulation_steps"):
             cfg["train"] = {count: 0}
@@ -370,8 +360,8 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert not run.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--fold", "0"]],
-                             ids=["all_folds", "fold0"])
+    @pytest.mark.parametrize("flags", [[], ["--parallel-folds", "2"]],
+                             ids=["all_folds", "parallel_folds"])
     def test_other_run_in_out_dir_exits_one(self, workdir, tmp_path, capsys,
                                             flags):
         run, cfg = self._other_run(workdir, tmp_path, "swin3d", 3)
@@ -435,10 +425,7 @@ class TestTrain:
             raise NumericError("training aborted at epoch 1, sample "
                                "offset 0")
         monkeypatch.setattr("volab.training.train_fold", explode)
-        assert cli.main(["train", "--config", str(workdir / "exp_vit.json"),
-                         "--fold", "0"]) == 3
         # the first failing fold ends the run: no later fold starts
-        calls.clear()
         assert cli.main(["train", "--config",
                          str(workdir / "exp_vit.json")]) == 3
         assert len(calls) == 1
@@ -716,31 +703,6 @@ class TestReport:
                 lo, hi = float(row[9 + 2 * i]), float(row[10 + 2 * i])
                 assert lo <= point <= hi
 
-    def test_json_round_trips_to_identical_csv_values(self, workdir):
-        runs = workdir / "runs"
-        assert cli.main(["report", "--runs", str(runs)]) == 0
-        assert cli.main(["report", "--runs", str(runs), "--format",
-                         "json"]) == 0
-        payload = json.load(open(runs / "report.json"))
-        header, rows = _read_csv(runs / "table2.csv")
-        assert len(payload["table2"]) == len(rows)
-        for crow, jrow in zip(rows, payload["table2"]):
-            for key, cval in zip(header, crow):
-                jval = jrow[key]
-                if isinstance(jval, (int, float)):
-                    assert float(cval) == float(jval)
-                else:
-                    assert cval == ("" if jval is None else str(jval))
-        header3, rows3 = _read_csv(runs / "table3.csv")
-        assert len(payload["table3"]) == len(rows3)
-        for crow, jrow in zip(rows3, payload["table3"]):
-            for key, cval in zip(header3, crow):
-                jval = jrow[key]
-                if isinstance(jval, (int, float)):
-                    assert float(cval) == float(jval)
-                else:
-                    assert cval == ("" if jval is None else str(jval))
-
     def test_rerun_is_byte_identical(self, workdir):
         runs = workdir / "runs"
         assert cli.main(["report", "--runs", str(runs), "--ci",
@@ -842,6 +804,28 @@ class TestDamagedRun:
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize("value", [5, None, ["a"]],
+                             ids=["number", "null", "list"])
+    @pytest.mark.parametrize("key", ["manifest", "name"])
+    @pytest.mark.parametrize("command", ["erf", "cka", "report"])
+    def test_non_string_manifest_or_name_exits_two(self, workdir, tmp_path,
+                                                   command, key, value):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        cfg[key] = value
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        ckpts = [str(run / "fold0.ckpt")]
+        if command == "cka":
+            ckpts.append(str(run / "fold1.ckpt"))
+        # no --manifest: analyze reads the run's
+        argv = (["report", "--runs", str(run)] if command == "report" else
+                ["analyze", "--checkpoint", *ckpts, "--instrument", command])
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,
                                             capsys):
         """A run written while configs still held analysis settings and a
@@ -876,6 +860,14 @@ class TestHelpGolden:
         assert "patient_id,eye_id,p_kc,pred,fold" in text
         assert "epoch,train_mse,val_mse,lr" in text
         assert "patient_id,eye_id,volume_path,p_kc,age,sex" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "exp.json", "--fold", "0"],
+        ["report", "--runs", "runs", "--format", "json"],
+    ], ids=["train_fold", "report_format"])
+    def test_deleted_flags_exit_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_exit_codes_documented(self):
         text = cli.build_parser().format_help()

@@ -64,7 +64,9 @@ class TestTokenGeometry:
         res = m.forward(x)
         # 128 patch tokens + 1 class token
         assert res.stages[0].data.shape == (1, 129, 32)
-        assert res.stages[0].has_cls
+        # the class token is the row without a voxel centroid
+        assert np.isnan(res.stages[0].centroids[0]).all()
+        assert not np.isnan(res.stages[0].centroids[1:]).any()
 
     def test_paper_vit3d_980_tokens_plus_cls(self):
         cfg = paper_config("vit3d")

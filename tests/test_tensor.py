@@ -183,33 +183,29 @@ def _case_mean_axis(r):
     return lambda x: T.tsum(T.mul(T.mean(x, axis=1), c)), [r.normal(size=(3, 4, 5))]
 
 
-def _case_sum_keepdims(r):
-    c = _probe(r, (1, 4, 1))
-    return lambda x: T.tsum(T.mul(T.tsum(x, axis=(0, 2), keepdims=True), c)), [r.normal(size=(3, 4, 5))]
+def _case_sum_axes(r):
+    c = _probe(r, (4,))
+    return lambda x: T.tsum(T.mul(T.tsum(x, axis=(0, 2)), c)), [r.normal(size=(3, 4, 5))]
 
 
 def _case_batch_norm(r):
+    # the training form: x's own batch statistics, differentiated through
     c = _probe(r, (4, 3, 5))
-    return (lambda x, g, b: T.tsum(T.mul(T.batch_norm(x, g, b), c)),
-            [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])
+
+    def f(x, g, b):
+        stats = (x.data.mean(axis=(0, 2)), x.data.var(axis=(0, 2)))
+        return T.tsum(T.mul(T.batch_norm(x, g, b, stats, frozen=False), c))
+    return f, [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)]
 
 
-def _case_pool_avg(r):
-    c = _probe(r, (2, 2, 2, 2, 4))
-    return lambda x: T.tsum(T.mul(T.pool3d(x, "avg", (2, 2, 1), (2, 2, 1)), c)), [r.normal(size=(2, 2, 4, 4, 4))]
-
-
-def _case_pool_overlap(kind):
+def _case_pool_overlap(r):
     # stride < window along two axes: each input feeds several windows
-    def build(r):
-        c = _probe(r, (2, 2, 3, 2, 3))
-        return (lambda x: T.tsum(T.mul(T.pool3d(x, kind, (2, 2, 2), (1, 2, 1)),
-                                       c)),
-                [r.normal(size=(2, 2, 4, 4, 4))])
-    return build
+    c = _probe(r, (2, 2, 3, 2, 3))
+    return (lambda x: T.tsum(T.mul(T.pool3d(x, (2, 2, 2), (1, 2, 1)), c)),
+            [r.normal(size=(2, 2, 4, 4, 4))])
 
 
-def _case_conv_stride1(x_shape, w_shape, padding, bias=True):
+def _case_conv_stride1(x_shape, w_shape, padding):
     # stride 1 with 2+ input channels takes the shifted-GEMM path, with 1
     # the im2col path; padding at or above the kernel extent gives an
     # output larger than the input
@@ -219,10 +215,6 @@ def _case_conv_stride1(x_shape, w_shape, padding, bias=True):
                         w_shape[2:]))
         c = _probe(r, (x_shape[0], w_shape[0]) + out)
         args = [r.normal(size=x_shape), r.normal(size=w_shape)]
-        if bias:
-            args.append(r.normal(size=w_shape[0]))
-            return (lambda x, w, b: T.tsum(T.mul(
-                T.conv3d(x, w, bias=b, padding=padding), c)), args)
         return (lambda x, w: T.tsum(T.mul(T.conv3d(x, w, padding=padding),
                                           c)), args)
     return build
@@ -249,22 +241,20 @@ PRIMITIVE_CASES = [
     ("take", _case_take),
     ("expand_batch", _case_expand),
     ("mean_axis", _case_mean_axis),
-    ("sum_keepdims", _case_sum_keepdims),
+    ("sum_axes", _case_sum_axes),
     ("batch_norm", _case_batch_norm),
-    ("batch_norm_frozen", lambda r: (lambda x, g, b: T.tsum(T.batch_norm(x, g, b, stats=(np.full(3, 0.2), np.full(3, 1.3)))), [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])),
-    ("conv3d", lambda r: (lambda x, w, b: T.tsum(T.conv3d(x, w, bias=b, stride=(1, 2, 1), padding=1)), [r.normal(size=(2, 2, 4, 5, 4)), r.normal(size=(3, 2, 3, 3, 3)), r.normal(size=3)])),
+    ("batch_norm_frozen", lambda r: (lambda x, g, b: T.tsum(T.batch_norm(x, g, b, (np.full(3, 0.2), np.full(3, 1.3)))), [r.normal(size=(4, 3, 5)), r.normal(size=3) + 1.5, r.normal(size=3)])),
+    ("conv3d", lambda r: (lambda x, w: T.tsum(T.conv3d(x, w, stride=(1, 2, 1), padding=1)), [r.normal(size=(2, 2, 4, 5, 4)), r.normal(size=(3, 2, 3, 3, 3))])),
     ("conv3d_s1_pad0", _case_conv_stride1((2, 3, 4, 5, 3), (2, 3, 3, 3, 3), 0)),
     ("conv3d_s1_pad1", _case_conv_stride1((2, 3, 4, 5, 3), (3, 3, 3, 3, 3), 1)),
     ("conv3d_s1_pad_over_kernel", _case_conv_stride1((1, 2, 3, 2, 3), (2, 2, 2, 2, 2), (3, 2, 4))),
     ("conv3d_s1_anisotropic", _case_conv_stride1((2, 3, 4, 5, 4), (2, 3, 3, 2, 1), (1, 0, 2))),
-    ("conv3d_s1_no_bias", _case_conv_stride1((2, 2, 4, 4, 4), (2, 2, 3, 3, 3), 1, bias=False)),
+    ("conv3d_s1_no_bias", _case_conv_stride1((2, 2, 4, 4, 4), (2, 2, 3, 3, 3), 1)),
     ("conv3d_s1_widening", _case_conv_stride1((2, 2, 4, 4, 4), (3, 2, 3, 3, 3), 1)),
     ("conv3d_s1_one_channel", _case_conv_stride1((2, 1, 4, 5, 3), (3, 1, 3, 3, 3), 1)),
     ("conv2d", lambda r: (lambda x, w: T.tsum(T.conv2d(x, w, stride=2, padding=1)), [r.normal(size=(2, 2, 6, 6)), r.normal(size=(3, 2, 3, 3))])),
-    ("pool3d_max", lambda r: (lambda x: T.tsum(T.pool3d(x, "max", 2, 2)), [r.normal(size=(2, 2, 4, 4, 4))])),
-    ("pool3d_avg", _case_pool_avg),
-    ("pool3d_max_overlap", _case_pool_overlap("max")),
-    ("pool3d_avg_overlap", _case_pool_overlap("avg")),
+    ("pool3d_max", lambda r: (lambda x: T.tsum(T.pool3d(x, 2, 2)), [r.normal(size=(2, 2, 4, 4, 4))])),
+    ("pool3d_max_overlap", _case_pool_overlap),
     ("dropout_scaling", lambda r: (lambda x: T.tsum(T.dropout(x, 0.0, np.random.default_rng(0), training=True)), [r.normal(size=(3, 3))])),
 ]
 
@@ -308,10 +298,9 @@ class TestConvPoolOracles:
         rng = np.random.default_rng(c * 100 + o)
         x = rng.normal(size=(2, c, 4, 5, 3))
         w = rng.normal(size=(o, c) + kernel)
-        b = rng.normal(size=o)
         got = T.conv3d(t64(x, grad=False), t64(w, grad=False),
-                       bias=t64(b, grad=False), padding=padding).data
-        want = conv3d_loops(x, w, b, padding=T._triple(padding, "padding"))
+                       padding=padding).data
+        want = conv3d_loops(x, w, padding=T._triple(padding, "padding"))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("c,o,padding", [(2, 6, (1, 1)), (8, 4, (0, 2))])
@@ -328,15 +317,14 @@ class TestConvPoolOracles:
 
     def test_pool3d_matches_loop_oracle(self):
         rng = np.random.default_rng(13)
-        for kind in ("max", "avg"):
-            x = rng.normal(size=(2, 3, 6, 5, 4))
-            got = T.pool3d(t64(x, grad=False), kind, (2, 2, 2), (2, 1, 2)).data
-            want = pool3d_loops(x, kind, (2, 2, 2), (2, 1, 2))
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+        x = rng.normal(size=(2, 3, 6, 5, 4))
+        got = T.pool3d(t64(x, grad=False), (2, 2, 2), (2, 1, 2)).data
+        want = pool3d_loops(x, "max", (2, 2, 2), (2, 1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_pool_window_too_large_raises(self):
         with pytest.raises(ShapeError):
-            T.pool3d(Tensor(np.zeros((1, 1, 2, 2, 2))), "max", 3, 1)
+            T.pool3d(Tensor(np.zeros((1, 1, 2, 2, 2))), 3, 1)
 
     def test_conv_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -363,18 +351,16 @@ class TestConvGradientSkipping:
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 3, 5, 4, 6))
         w = rng.normal(size=(out_ch, 3, 3, 3, 3))
-        b = rng.normal(size=out_ch)
         c = Tensor(rng.normal(size=(2, out_ch, 5, 2 if stride != 1 else 4, 6)),
                    dtype=np.float64)
         grads = []
         for x_grad in (True, False):
-            xt, wt, bt = t64(x, grad=x_grad), t64(w), t64(b)
-            backward(T.tsum(T.mul(T.conv3d(xt, wt, bias=bt, stride=stride,
-                                           padding=1), c)))
+            xt, wt = t64(x, grad=x_grad), t64(w)
+            backward(T.tsum(T.mul(T.conv3d(xt, wt, stride=stride, padding=1),
+                                  c)))
             assert (xt.grad is not None) == x_grad
-            grads.append((wt.grad, bt.grad))
-        assert np.array_equal(grads[0][0], grads[1][0])
-        assert np.array_equal(grads[0][1], grads[1][1])
+            grads.append(wt.grad)
+        assert np.array_equal(grads[0], grads[1])
 
     def test_stride1_tape_keeps_padded_input_not_columns(self):
         rng = np.random.default_rng(17)
@@ -422,8 +408,8 @@ class TestTapeKeepsInputs:
         if padding == 0:
             assert any(a is xt.data for a in held)
 
-    @pytest.mark.parametrize("op", ["batch_norm", "batch_norm_given_stats",
-                                    "batch_norm_frozen", "layer_norm"])
+    @pytest.mark.parametrize("op", ["batch_norm", "batch_norm_frozen",
+                                    "layer_norm"])
     def test_normalization_keeps_no_normalized_copy(self, op):
         rng = np.random.default_rng(19)
         xt = t64(rng.normal(size=(3, 4, 5, 6)))
@@ -433,12 +419,11 @@ class TestTapeKeepsInputs:
             out = T.layer_norm(xt, gamma, beta)
             stats_size = 3 * 4 * 5  # a mean and a scale per row
         else:
-            stats = {"batch_norm": None,
-                     "batch_norm_given_stats": (xt.data.mean(axis=(0, 2, 3)),
-                                                xt.data.var(axis=(0, 2, 3))),
-                     "batch_norm_frozen": (np.zeros(4), np.ones(4))}[op]
-            out = T.batch_norm(xt, gamma, beta, stats=stats,
-                               frozen=op == "batch_norm_frozen")
+            frozen = op == "batch_norm_frozen"
+            stats = ((np.zeros(4), np.ones(4)) if frozen
+                     else (xt.data.mean(axis=(0, 2, 3)),
+                           xt.data.var(axis=(0, 2, 3))))
+            out = T.batch_norm(xt, gamma, beta, stats, frozen=frozen)
             stats_size = features
         sizes = [a.size for a in _held_arrays(out)]
         assert sizes and max(sizes) <= stats_size, sizes
@@ -448,7 +433,7 @@ class TestTapeKeepsInputs:
     def test_max_pool_keeps_no_window_copy(self, window, stride):
         rng = np.random.default_rng(20)
         xt = t64(rng.normal(size=(2, 3, 7, 7, 7)))
-        out = T.pool3d(xt, "max", window, stride)
+        out = T.pool3d(xt, window, stride)
         held = _held_arrays(out)
         assert all(a.size <= out.size for a in held), [a.shape for a in held]
 

@@ -26,8 +26,10 @@ def tracer():
     return module
 
 
-def test_model_spans_recorded_and_attributes_restored(tracer, tmp_path):
-    cfg = desk_config("swin3d")
+@pytest.mark.parametrize("preset", ["cnn3d", "swin3d"])
+def test_model_spans_recorded_and_attributes_restored(tracer, tmp_path,
+                                                      preset):
+    cfg = desk_config(preset)
     model = build_model(cfg, seed=0)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 1) + cfg.input_shape).astype(np.float32)
@@ -50,6 +52,10 @@ def test_model_spans_recorded_and_attributes_restored(tracer, tmp_path):
                  "models.save", "models.load", "training.predict"):
         assert table.get(name, (0,))[0] >= 1, name
     assert table["models.forward_train"][0] == 1
+    if preset == "cnn3d":  # the tracer binds these two by parameter name
+        assert table["tensor.conv3d"][0] >= 1
+        assert table["tensor.pool3d"][0] >= 1
+        assert tr.rec.counts["tensor.conv3d.flops"] > 0
     assert len(tr.rec.step_ms) == 1
     assert patched and tr.patched() == []
     for owner, attr, original in patched:

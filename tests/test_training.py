@@ -317,25 +317,18 @@ class TestCrossValidation:
             assert idx1 == idx2
             assert np.array_equal(p1, p2)
 
-    def test_fold_subset_on_a_pool_matches_full_run(self):
+    def test_pool_matches_calling_thread(self):
         records, samples = self._records_and_samples(10, seed=4)
         split = self._split(records)
         full = cross_validate(records, samples, desk_config("vit2d"),
                               self._cfg(), split)
-        part = cross_validate(records, samples, desk_config("vit2d"),
-                              self._cfg(), split, folds=[3, 1],
-                              n_workers=2)
-        assert len(part) == 2
-        for k, (res, _, idx, preds) in zip([3, 1], part):
-            assert idx == full[k][2]
-            assert res.history == full[k][0].history
-            assert np.array_equal(preds, full[k][3])
-
-    def test_fold_outside_range_rejected(self):
-        records, samples = self._records_and_samples(6, seed=3)
-        with pytest.raises(ValueError):
-            cross_validate(records, samples, desk_config("vit2d"),
-                           self._cfg(), self._split(records, 3), folds=[3])
+        pooled = cross_validate(records, samples, desk_config("vit2d"),
+                                self._cfg(), split, n_workers=2)
+        assert len(pooled) == len(full)
+        for (res, _, idx, preds), want in zip(pooled, full):
+            assert idx == want[2]
+            assert res.history == want[0].history
+            assert np.array_equal(preds, want[3])
 
     def test_misaligned_inputs_rejected(self):
         records, samples = self._records_and_samples(6, seed=3)
