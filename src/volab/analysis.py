@@ -4,7 +4,6 @@ centered kernel alignment, and the ADMP activation-dump format."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,14 @@ class ErfMap:
     normalized: gradient / max; mask: normalized > threshold (strict).
     erf_radius: max distance from the gradient-weighted mask centroid to
     any mask voxel. et_ratio: erf_radius over the config's theoretical
-    radius for the tap (None when the model carries no config).
+    radius for the tap.
     """
     gradient: np.ndarray
     normalized: np.ndarray
     mask: np.ndarray
     erf_size: int
     erf_radius: float
-    et_ratio: float | None
+    et_ratio: float
 
 
 def _nearest_token(centroids, input_shape):
@@ -77,22 +76,20 @@ def _tap_scalar(result, input_shape, tap):
 def erf_map(model, x, taps=("output",), threshold=ERF_THRESHOLD):
     """Effective receptive fields of ``taps``, one ErfMap per tap.
 
-    ``x`` is a single unbatched input (channels, *spatial). The model only
-    needs a ``forward`` in the ForwardResult protocol; et_ratio is filled
-    when it also carries a ``config``. A model with ``frozen()`` runs
-    frozen, so each tap's backward pass, on the tape of one forward,
-    computes the input gradient alone and leaves every ``.grad`` as it was.
+    ``x`` is a single unbatched input (channels, *spatial). The model
+    needs a ``forward`` in the ForwardResult protocol, a ``config`` and
+    ``frozen()``. It runs frozen, so each tap's backward pass, on the tape
+    of one forward, computes the input gradient alone and leaves every
+    ``.grad`` as it was.
     """
-    x = np.asarray(x)
-    xt = Tensor(x[None], requires_grad=True)
-    cfg = getattr(model, "config", None)
-    shape = x.shape[1:] if cfg is None else cfg.input_shape
+    xt = Tensor(np.asarray(x)[None], requires_grad=True)
+    cfg = model.config
     maps = []
-    with getattr(model, "frozen", contextlib.nullcontext)():
+    with model.frozen():
         result = model.forward(xt)
         for tap in taps:
             xt.grad = None
-            backward(_tap_scalar(result, shape, tap))
+            backward(_tap_scalar(result, cfg.input_shape, tap))
             grad = np.abs(np.asarray(xt.grad, dtype=np.float64))[0]
             maps.append(_erf(grad.sum(axis=0), tap, threshold, cfg))
     return maps
@@ -109,13 +106,11 @@ def _erf(grad, tap, threshold, cfg):
     weights = normalized[mask]
     centroid = (weights[:, None] * pos).sum(axis=0) / weights.sum()
     radius = float(np.linalg.norm(pos - centroid, axis=1).max())
-    ratio = None
-    if cfg is not None:
-        theo = theoretical_rf(cfg, tap)
-        if theo == 0.0:
-            ratio = 1.0 if radius == 0.0 else math.inf
-        else:
-            ratio = radius / theo
+    theo = theoretical_rf(cfg, tap)
+    if theo == 0.0:
+        ratio = 1.0 if radius == 0.0 else math.inf
+    else:
+        ratio = radius / theo
     return ErfMap(gradient=grad, normalized=normalized, mask=mask,
                   erf_size=int(mask.sum()), erf_radius=radius,
                   et_ratio=ratio)

@@ -445,13 +445,13 @@ def _analyze_erf(args, model, run_cfg, records, root, out_dir):
             radii[s].append(m.erf_radius)
             mean_maps[s] = (m.normalized if mean_maps[s] is None
                             else mean_maps[s] + m.normalized)
-            if s == stages[-1] and m.et_ratio is not None:
+            if s == stages[-1]:
                 ratios.append(m.et_ratio)
     row = [run_cfg["name"], model.config.input_dims]
     for i in range(4):
         row.append(float(np.mean(radii[stages[i]]))
                    if i < len(stages) else None)
-    row.append(float(np.mean(ratios)) if ratios else None)
+    row.append(float(np.mean(ratios)))
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "erf_table.csv"), TABLE4_HEADER, [row])
     for s in stages:
@@ -573,12 +573,14 @@ def cmd_analyze(args):
 
 
 def read_predictions(path):
-    """Pooled predictions CSV -> (pred, target, folds) float/int arrays."""
+    """Pooled predictions CSV -> (pred, target) float arrays; a fold cell
+    that is not an integer still marks the file as damaged."""
     rows = read_csv_rows(path, "predictions", PREDICTIONS_HEADER)
     try:
+        for r in rows:
+            int(r[4])
         return (np.asarray([float(r[3]) for r in rows]),
-                np.asarray([float(r[2]) for r in rows]),
-                np.asarray([int(r[4]) for r in rows], dtype=np.int64))
+                np.asarray([float(r[2]) for r in rows]))
     except (ValueError, IndexError) as err:
         raise DataError(f"{path}: malformed predictions row: {err}") \
             from err
@@ -620,7 +622,7 @@ def cmd_report(args):
     for run in runs:
         run_cfg, model_cfg = _read_run_config(
             os.path.join(run, RESOLVED_CONFIG))
-        pred, target, _ = read_predictions(
+        pred, target = read_predictions(
             os.path.join(run, POOLED_PREDICTIONS))
         name, dim = run_cfg["name"], model_cfg.input_dims
         params = build_model(model_cfg, seed=0).param_count()

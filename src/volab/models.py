@@ -167,6 +167,13 @@ class ModelConfig:
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "
                                  "mismatch")
+            # the stem's 2x max pool needs two voxels along each pooled
+            # axis: every axis for cnn, the per-slice axes for hybrids
+            pooled = self.input_shape[0 if self.family == "cnn" else 1:]
+            if min(pooled) < 2:
+                raise ShapeError(f"input {self.input_shape} is too small "
+                                 f"for the stem's 2x pool: each pooled "
+                                 f"axis needs 2 or more voxels")
         if self.family == "hybrid_transformer" and width % self.agg_heads:
             raise ShapeError(f"encoder width {width} not divisible by "
                              f"{self.agg_heads} heads")
@@ -301,19 +308,17 @@ class ForwardResult:
 class ResidualBlock(Module):
     """conv3x3(stride)-BN-ReLU-conv3x3-BN + projection skip, ReLU after."""
 
-    def __init__(self, rng, nd, in_ch, out_ch, stride, dtype=np.float32):
+    def __init__(self, rng, nd, in_ch, out_ch, stride):
         super().__init__()
         k = (3,) * nd
-        self.conv1 = Conv(rng, in_ch, out_ch, k, stride=stride, padding=1,
-                          dtype=dtype)
-        self.bn1 = BatchNorm(out_ch, dtype=dtype)
-        self.conv2 = Conv(rng, out_ch, out_ch, k, stride=1, padding=1,
-                          dtype=dtype)
-        self.bn2 = BatchNorm(out_ch, dtype=dtype)
+        self.conv1 = Conv(rng, in_ch, out_ch, k, stride=stride, padding=1)
+        self.bn1 = BatchNorm(out_ch)
+        self.conv2 = Conv(rng, out_ch, out_ch, k, stride=1, padding=1)
+        self.bn2 = BatchNorm(out_ch)
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv(rng, in_ch, out_ch, (1,) * nd, stride=stride,
-                             padding=0, dtype=dtype)
-            self.proj_bn = BatchNorm(out_ch, dtype=dtype)
+                             padding=0)
+            self.proj_bn = BatchNorm(out_ch)
         else:
             self.proj = None
             self.proj_bn = None
@@ -325,19 +330,18 @@ class ResidualBlock(Module):
 
 
 class ConvBackbone(Module):
-    """Stem (conv-BN-ReLU-maxpool2) + one residual block per stage."""
+    """Stem (conv-BN-ReLU-maxpool2) + one residual block per stage, on a
+    one-channel input."""
 
-    def __init__(self, rng, nd, in_ch, stem_ch, channels, strides,
-                 dtype=np.float32):
+    def __init__(self, rng, nd, stem_ch, channels, strides):
         super().__init__()
         self.nd = nd
-        self.stem = Conv(rng, in_ch, stem_ch, (3,) * nd, stride=1, padding=1,
-                         dtype=dtype)
-        self.stem_bn = BatchNorm(stem_ch, dtype=dtype)
+        self.stem = Conv(rng, 1, stem_ch, (3,) * nd, stride=1, padding=1)
+        self.stem_bn = BatchNorm(stem_ch)
         blocks = []
         prev = stem_ch
         for ch, st in zip(channels, strides):
-            blocks.append(ResidualBlock(rng, nd, prev, ch, st, dtype=dtype))
+            blocks.append(ResidualBlock(rng, nd, prev, ch, st))
             prev = ch
         self.blocks = blocks
         self.out_channels = prev
@@ -389,18 +393,15 @@ class ModelInstance(Module):
         save_checkpoint(path, arrays)
 
     def load(self, path):
+        """Copy a checkpoint written by ``save`` into this model: every
+        state entry and both meta entries must be there, and nothing else."""
         arrays = load_checkpoint(path)
-
-        def scalar(key):
-            arr = arrays.pop(key, None)
-            return 0.0 if arr is None else float(np.asarray(arr).reshape(-1)[0])
-
-        meta = {"epoch": int(scalar("meta.epoch")),
-                "val_mse": scalar("meta.val_mse")}
         state = self.state_arrays()
-        missing = sorted(set(state) - set(arrays))
+        missing = sorted((set(state) | {"meta.epoch", "meta.val_mse"})
+                         - set(arrays))
         if missing:
             raise ShapeError(f"checkpoint lacks {missing}")
+        del arrays["meta.epoch"], arrays["meta.val_mse"]
         for name, arr in arrays.items():
             if name not in state:
                 raise ShapeError(f"checkpoint entry {name!r} not in model")
@@ -409,16 +410,14 @@ class ModelInstance(Module):
                 raise ShapeError(f"checkpoint shape {arr.shape} does not "
                                  f"match {name} {target.shape}")
             target[...] = arr.astype(target.dtype)
-        return meta
 
 
 class CnnNet(ModelInstance):
-    def __init__(self, rng, cfg, dtype=np.float32):
+    def __init__(self, rng, cfg):
         super().__init__(cfg)
-        self.backbone = ConvBackbone(rng, cfg.input_dims, 1,
-                                     cfg.stem_channels, cfg.stage_channels,
-                                     cfg.stage_strides, dtype=dtype)
-        self.head = Linear(rng, self.backbone.out_channels, 1, dtype=dtype)
+        self.backbone = ConvBackbone(rng, cfg.input_dims, cfg.stem_channels,
+                                     cfg.stage_channels, cfg.stage_strides)
+        self.head = Linear(rng, self.backbone.out_channels, 1)
 
     def stage_names(self):
         return [f"stage{i + 1}"
@@ -434,22 +433,22 @@ class CnnNet(ModelInstance):
 
 
 class VitNet(ModelInstance):
-    def __init__(self, rng, cfg, dtype=np.float32):
+    def __init__(self, rng, cfg):
         super().__init__(cfg)
         d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, 1, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy, dtype=dtype)
-        self.cls = _normal(rng, (1, d), 0.02, dtype)
+        self.embed = PatchEmbed(rng, cfg.patch_size, d,
+                                pad_policy=cfg.pad_policy)
+        self.cls = _normal(rng, (1, d), 0.02)
         n_tokens = 1
         for g in cfg.token_grid():
             n_tokens *= g
         # learned position table covers CLS (row 0) + every patch token
-        self.pos = _normal(rng, (n_tokens + 1, d), 0.02, dtype)
+        self.pos = _normal(rng, (n_tokens + 1, d), 0.02)
         self.blocks = [TransformerBlock(rng, d, cfg.n_heads,
-                                        mlp_ratio=cfg.mlp_ratio, dtype=dtype)
+                                        mlp_ratio=cfg.mlp_ratio)
                        for _ in range(cfg.depth)]
-        self.norm = LayerNorm(d, dtype=dtype)
-        self.head = Linear(rng, d, 1, dtype=dtype)
+        self.norm = LayerNorm(d)
+        self.head = Linear(rng, d, 1)
 
     def stage_names(self):
         return [f"block{i + 1}" for i in range(self.config.depth)]
@@ -490,13 +489,13 @@ def merge_centroids(cgrid):
 
 
 class SwinNet(ModelInstance):
-    def __init__(self, rng, cfg, dtype=np.float32):
+    def __init__(self, rng, cfg):
         super().__init__(cfg)
         nd = cfg.input_dims
         d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, 1, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy, dtype=dtype)
-        self.embed_norm = LayerNorm(d, dtype=dtype)
+        self.embed = PatchEmbed(rng, cfg.patch_size, d,
+                                pad_policy=cfg.pad_policy)
+        self.embed_norm = LayerNorm(d)
         shift = tuple(w // 2 for w in cfg.window_size)
         stages, merges = [], []
         for s, depth in enumerate(cfg.stage_depths):
@@ -507,18 +506,16 @@ class SwinNet(ModelInstance):
                 # even blocks use plain windows, odd blocks shifted ones
                 blk_shift = shift if b % 2 == 1 else (0,) * nd
                 blocks.append(SwinBlock(rng, dim_s, heads_s, cfg.window_size,
-                                        blk_shift, mlp_ratio=cfg.mlp_ratio,
-                                        dtype=dtype))
+                                        blk_shift, mlp_ratio=cfg.mlp_ratio))
             stages.append(blocks)
             if s < len(cfg.stage_depths) - 1:
                 merges.append(PatchMerge(rng, dim_s, nd,
-                                         pad_policy=cfg.pad_policy,
-                                         dtype=dtype))
+                                         pad_policy=cfg.pad_policy))
         self.stages = [blk for blocks in stages for blk in blocks]
         self.merges = merges
         final_dim = d * (2 ** (len(cfg.stage_depths) - 1))
-        self.norm = LayerNorm(final_dim, dtype=dtype)
-        self.head = Linear(rng, final_dim, 1, dtype=dtype)
+        self.norm = LayerNorm(final_dim)
+        self.head = Linear(rng, final_dim, 1)
 
     def stage_names(self):
         return ["patch_embed"] + [f"stage{s + 1}" for s in
@@ -556,29 +553,27 @@ class SwinNet(ModelInstance):
 class HybridNet(ModelInstance):
     """Shared 2-D encoder over the slice sequence + sequence aggregator."""
 
-    def __init__(self, rng, cfg, dtype=np.float32):
+    def __init__(self, rng, cfg):
         super().__init__(cfg)
-        self.encoder = ConvBackbone(rng, 2, 1, cfg.stem_channels,
-                                    cfg.stage_channels, cfg.stage_strides,
-                                    dtype=dtype)
+        self.encoder = ConvBackbone(rng, 2, cfg.stem_channels,
+                                    cfg.stage_channels, cfg.stage_strides)
         f = self.encoder.out_channels
         self.feature_dim = f
         n_slices = cfg.input_shape[0]
         if cfg.family == "hybrid_lstm":
-            self.agg = BiLstm(rng, f, cfg.agg_hidden, dtype=dtype)
+            self.agg = BiLstm(rng, f, cfg.agg_hidden)
             agg_out = 2 * cfg.agg_hidden
         else:
-            self.cls = _normal(rng, (1, f), 0.02, dtype)
+            self.cls = _normal(rng, (1, f), 0.02)
             # fixed sin/cos positions; row 0 is taken by the class token
-            self._buffers = {"pos_table": sinusoid_positions(n_slices + 1, f,
-                                                             dtype=dtype)}
+            self._buffers = {"pos_table": sinusoid_positions(n_slices + 1, f)}
             self.agg_blocks = [
                 TransformerBlock(rng, f, cfg.agg_heads, mlp_ratio=cfg.mlp_ratio,
-                                 drop=cfg.agg_dropout, dtype=dtype)
+                                 drop=cfg.agg_dropout)
                 for _ in range(cfg.agg_depth)]
-            self.agg_norm = LayerNorm(f, dtype=dtype)
+            self.agg_norm = LayerNorm(f)
             agg_out = f
-        self.head = Linear(rng, agg_out, 1, dtype=dtype)
+        self.head = Linear(rng, agg_out, 1)
 
     def stage_names(self):
         return ["encoder", "aggregator"]
@@ -625,10 +620,11 @@ _NETS = {
 }
 
 
-def build_model(cfg, seed=0, dtype=np.float32):
-    """Deterministic instantiation: same (cfg, seed) -> same parameters."""
+def build_model(cfg, seed=0):
+    """Deterministic instantiation: same (cfg, seed) -> same float32
+    parameters."""
     rng = np.random.default_rng(seed)
-    return _NETS[cfg.family](rng, cfg, dtype=dtype)
+    return _NETS[cfg.family](rng, cfg)
 
 
 __all__ = [

@@ -38,6 +38,9 @@ from .tensor import (
 )
 
 
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+
+
 def _prod(xs):
     out = 1
     for x in xs:
@@ -104,20 +107,19 @@ class Module:
         return self
 
 
-def _normal(rng, shape, std, dtype):
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype),
+def _normal(rng, shape, std):
+    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32),
                   requires_grad=True)
 
 
 class Linear(Module):
-    def __init__(self, rng, in_dim, out_dim, bias=True, dtype=np.float32):
+    def __init__(self, rng, in_dim, out_dim, bias=True):
         super().__init__()
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         # fan-in scaled gaussian init keeps activation variance O(1)
-        self.weight = _normal(rng, (in_dim, out_dim), 1.0 / math.sqrt(in_dim),
-                              dtype)
-        self.bias = (Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+        self.weight = _normal(rng, (in_dim, out_dim), 1.0 / math.sqrt(in_dim))
+        self.bias = (Tensor(np.zeros(out_dim, np.float32), requires_grad=True)
                      if bias else None)
 
     def __call__(self, x):
@@ -131,8 +133,7 @@ class Conv(Module):
     """2-D or 3-D convolution, selected by the length of `kernel`, without
     a bias: every conv feeds a BatchNorm, whose shift takes its place."""
 
-    def __init__(self, rng, in_ch, out_ch, kernel, stride=1, padding=0,
-                 dtype=np.float32):
+    def __init__(self, rng, in_ch, out_ch, kernel, stride=1, padding=0):
         super().__init__()
         kernel = tuple(int(k) for k in kernel)
         if len(kernel) not in (2, 3):
@@ -142,7 +143,7 @@ class Conv(Module):
         self.padding = padding
         fan_in = in_ch * _prod(kernel)
         self.weight = _normal(rng, (out_ch, in_ch) + kernel,
-                              1.0 / math.sqrt(fan_in), dtype)
+                              1.0 / math.sqrt(fan_in))
 
     def __call__(self, x):
         op = conv3d if len(self.kernel) == 3 else conv2d
@@ -154,19 +155,17 @@ class BatchNorm(Module):
 
     Training uses batch statistics and differentiates through them; eval
     uses the stored running mean/var. Running var is the biased estimate,
-    updated with momentum 0.1.
+    updated with momentum ``BN_MOMENTUM``.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
         self.channels = int(channels)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self._buffers = {
-            "running_mean": np.zeros(channels, dtype=dtype),
-            "running_var": np.ones(channels, dtype=dtype),
+            "running_mean": np.zeros(channels, np.float32),
+            "running_var": np.ones(channels, np.float32),
         }
 
     def __call__(self, x):
@@ -174,38 +173,36 @@ class BatchNorm(Module):
             axes = (0,) + tuple(range(2, x.data.ndim))
             batch_mean = x.data.mean(axis=axes)
             batch_var = x.data.var(axis=axes)
-            m = self.momentum
+            m = BN_MOMENTUM
             rb = self._buffers
             rb["running_mean"] = ((1 - m) * rb["running_mean"]
                                   + m * batch_mean).astype(x.data.dtype)
             rb["running_var"] = ((1 - m) * rb["running_var"]
                                  + m * batch_var).astype(x.data.dtype)
             return batch_norm(x, self.gamma, self.beta,
-                              (batch_mean, batch_var), eps=self.eps,
-                              frozen=False)
+                              (batch_mean, batch_var), frozen=False)
         stats = (self._buffers["running_mean"], self._buffers["running_var"])
-        return batch_norm(x, self.gamma, self.beta, stats, eps=self.eps)
+        return batch_norm(x, self.gamma, self.beta, stats)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5, dtype=np.float32):
+    def __init__(self, dim):
         super().__init__()
         self.dim = int(dim)
-        self.eps = float(eps)
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim, np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
-def sinusoid_positions(n_positions, dim, dtype=np.float32):
+def sinusoid_positions(n_positions, dim):
     """Fixed sin/cos position table of shape (n_positions, dim)."""
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
     idx = np.arange(dim, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-    return table.astype(dtype)
+    return table.astype(np.float32)
 
 
 def window_partition(x, window):
@@ -265,13 +262,14 @@ def _partition_np(arr, window):
     return arr.reshape((_prod(counts), _prod(window)) + extra)
 
 
-def shift_window_mask(grid, window, shift, dtype=np.float32):
+def shift_window_mask(grid, window, shift):
     """Additive attention mask (n_windows, L, L) for cyclic-shift windows.
 
     Tokens may attend iff they belong to the same window of the truncated
     non-cyclic shifted partition (boundaries at positions congruent to the
     shift modulo the window size along each axis). Forbidden pairs get -1e9,
-    which underflows to exactly zero after softmax in float32.
+    which underflows to exactly zero after softmax in float32. The mask is
+    float32; its two values are exact in every float dtype.
     """
     nd = len(grid)
     ids = np.zeros(grid, dtype=np.int64)
@@ -283,17 +281,15 @@ def shift_window_mask(grid, window, shift, dtype=np.float32):
     rolled = np.roll(ids, tuple(-s for s in shift), axis=tuple(range(nd)))
     wins = _partition_np(rolled, window)
     return np.where(wins[:, :, None] == wins[:, None, :],
-                    np.asarray(0.0, dtype),
-                    np.asarray(-1e9, dtype))
+                    np.float32(0.0), np.float32(-1e9))
 
 
-def relative_position_index(window, radix=None):
+def relative_position_index(window, radix):
     """Flat lookup index (L, L) into a (prod(2r-1), heads) bias table.
 
-    ``radix`` is the window the table was sized for (default ``window``);
-    a window clamped below it indexes into the full table's radix system.
+    ``radix`` is the window the table was sized for; a window clamped
+    below it indexes into the full table's radix system.
     """
-    radix = window if radix is None else radix
     nd = len(window)
     axes = [np.arange(w) for w in window]
     coords = np.stack(np.meshgrid(*axes, indexing="ij"))
@@ -345,10 +341,10 @@ def multi_head_attention(x, qkv, proj, n_heads, bias=None, group_mask=None,
 
 
 class Mlp(Module):
-    def __init__(self, rng, dim, hidden, dtype=np.float32):
+    def __init__(self, rng, dim, hidden):
         super().__init__()
-        self.fc1 = Linear(rng, dim, hidden, dtype=dtype)
-        self.fc2 = Linear(rng, hidden, dim, dtype=dtype)
+        self.fc1 = Linear(rng, dim, hidden)
+        self.fc2 = Linear(rng, hidden, dim)
 
     def __call__(self, x):
         return self.fc2(gelu(self.fc1(x)))
@@ -357,16 +353,15 @@ class Mlp(Module):
 class TransformerBlock(Module):
     """Pre-norm transformer encoder block (global attention)."""
 
-    def __init__(self, rng, dim, n_heads, mlp_ratio=4.0, drop=0.0,
-                 dtype=np.float32):
+    def __init__(self, rng, dim, n_heads, mlp_ratio=4.0, drop=0.0):
         super().__init__()
         self.n_heads = int(n_heads)
         self.drop = float(drop)
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.qkv = Linear(rng, dim, 3 * dim, dtype=dtype)
-        self.proj = Linear(rng, dim, dim, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(rng, dim, int(dim * mlp_ratio), dtype=dtype)
+        self.norm1 = LayerNorm(dim)
+        self.qkv = Linear(rng, dim, 3 * dim)
+        self.proj = Linear(rng, dim, dim)
+        self.norm2 = LayerNorm(dim)
+        self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
 
     def __call__(self, x, rng=None):
         h, attn = multi_head_attention(self.norm1(x), self.qkv, self.proj,
@@ -389,20 +384,19 @@ class SwinBlock(Module):
     window is a no-op partition-wise).
     """
 
-    def __init__(self, rng, dim, n_heads, window, shift, mlp_ratio=4.0,
-                 dtype=np.float32):
+    def __init__(self, rng, dim, n_heads, window, shift, mlp_ratio=4.0):
         super().__init__()
         self.dim = int(dim)
         self.n_heads = int(n_heads)
         self.window = tuple(int(w) for w in window)
         self.shift = tuple(int(s) for s in shift)
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.qkv = Linear(rng, dim, 3 * dim, dtype=dtype)
-        self.proj = Linear(rng, dim, dim, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(rng, dim, int(dim * mlp_ratio), dtype=dtype)
+        self.norm1 = LayerNorm(dim)
+        self.qkv = Linear(rng, dim, 3 * dim)
+        self.proj = Linear(rng, dim, dim)
+        self.norm2 = LayerNorm(dim)
+        self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
         table_rows = _prod(2 * w - 1 for w in self.window)
-        self.rel_bias = _normal(rng, (table_rows, self.n_heads), 0.02, dtype)
+        self.rel_bias = _normal(rng, (table_rows, self.n_heads), 0.02)
         self._masks = {}
 
     def _effective(self, grid):
@@ -437,8 +431,7 @@ class SwinBlock(Module):
         if any(shift):
             key = (grid, window, shift)
             if key not in self._masks:
-                base = shift_window_mask(grid, window, shift,
-                                         dtype=x.data.dtype)
+                base = shift_window_mask(grid, window, shift)
                 self._masks[key] = np.ascontiguousarray(np.broadcast_to(
                     base[:, None], (groups, self.n_heads) + base.shape[1:]))
             group_mask = self._masks[key]
@@ -458,7 +451,7 @@ class SwinBlock(Module):
 
 
 class PatchEmbed(Module):
-    """Non-overlapping patch embedding for an (N, C, *spatial) input.
+    """Non-overlapping patch embedding for an (N, 1, *spatial) input.
 
     Patches are cut by reshape/transpose and projected with one Linear,
     which is exactly a stride=patch convolution. Spatial dims that do not
@@ -466,14 +459,12 @@ class PatchEmbed(Module):
     "pad", else it is an error.
     """
 
-    def __init__(self, rng, in_ch, patch, dim, pad_policy="strict",
-                 dtype=np.float32):
+    def __init__(self, rng, patch, dim, pad_policy="strict"):
         super().__init__()
-        self.in_ch = int(in_ch)
         self.patch = tuple(int(p) for p in patch)
         self.dim = int(dim)
         self.pad_policy = pad_policy
-        self.proj = Linear(rng, in_ch * _prod(self.patch), dim, dtype=dtype)
+        self.proj = Linear(rng, _prod(self.patch), dim)
 
     def __call__(self, x):
         n, c = x.shape[0], x.shape[1]
@@ -529,14 +520,13 @@ class PatchMerge(Module):
     2^nd * D -> 2D. Grid must be even along every axis (or pad_policy
     "pad" zero-extends odd axes by one token)."""
 
-    def __init__(self, rng, dim, nd, pad_policy="strict", dtype=np.float32):
+    def __init__(self, rng, dim, nd, pad_policy="strict"):
         super().__init__()
         self.dim = int(dim)
         self.nd = int(nd)
         self.pad_policy = pad_policy
-        self.norm = LayerNorm((2 ** nd) * dim, dtype=dtype)
-        self.proj = Linear(rng, (2 ** nd) * dim, 2 * dim, bias=False,
-                           dtype=dtype)
+        self.norm = LayerNorm((2 ** nd) * dim)
+        self.proj = Linear(rng, (2 ** nd) * dim, 2 * dim, bias=False)
 
     def __call__(self, x):
         n = x.shape[0]
@@ -552,14 +542,14 @@ class PatchMerge(Module):
 
 
 class LstmCell(Module):
-    def __init__(self, rng, in_dim, hidden, dtype=np.float32):
+    def __init__(self, rng, in_dim, hidden):
         super().__init__()
         self.hidden = int(hidden)
         self.w_ih = _normal(rng, (in_dim, 4 * hidden),
-                            1.0 / math.sqrt(in_dim), dtype)
+                            1.0 / math.sqrt(in_dim))
         self.w_hh = _normal(rng, (hidden, 4 * hidden),
-                            1.0 / math.sqrt(hidden), dtype)
-        self.bias = Tensor(np.zeros(4 * hidden, dtype=dtype),
+                            1.0 / math.sqrt(hidden))
+        self.bias = Tensor(np.zeros(4 * hidden, np.float32),
                            requires_grad=True)
 
     def step(self, x_t, h, c):
@@ -580,11 +570,11 @@ class BiLstm(Module):
     hidden states of both directions, shape (N, 2 * hidden). Initial
     hidden and cell states are zero."""
 
-    def __init__(self, rng, in_dim, hidden, dtype=np.float32):
+    def __init__(self, rng, in_dim, hidden):
         super().__init__()
         self.hidden = int(hidden)
-        self.fw = LstmCell(rng, in_dim, hidden, dtype=dtype)
-        self.bw = LstmCell(rng, in_dim, hidden, dtype=dtype)
+        self.fw = LstmCell(rng, in_dim, hidden)
+        self.bw = LstmCell(rng, in_dim, hidden)
 
     def __call__(self, x):
         n, s, f = x.shape

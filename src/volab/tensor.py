@@ -1,7 +1,8 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
-Values are numpy arrays, float32 by default. Build leaves with
-``dtype=np.float64`` for gradient checking. Broadcasting is limited to
+Values are numpy arrays; a non-float input becomes float32, and every
+model parameter is float32. Gradient checks run in float64 on models
+cast with ``tests/oracles.as_float64``. Broadcasting is limited to
 suffix alignment: operand shapes must be equal, scalar, or one shape must
 be a suffix of the other. Every primitive checks its output for NaN/Inf.
 
@@ -22,7 +23,7 @@ from scipy.special import erf as _erf
 
 from .artifacts import Packer, Unpacker
 
-DEFAULT_DTYPE = np.float32
+NORM_EPS = 1e-5  # variance offset of layer_norm and batch_norm
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -63,12 +64,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(DEFAULT_DTYPE)
+        if not np.issubdtype(arr.dtype, np.floating):
+            arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -306,8 +305,7 @@ def softmax(x, axis=-1):
     return _make("softmax", out, (x,), vjp)
 
 
-def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
-               frozen=False):
+def _normalize(op, x, gamma, beta, axis, over, stats=None, frozen=False):
     """Standardize ``x`` with its mean and variance over the axes ``over``,
     then scale/shift along the feature ``axis``. ``stats=(mean, var)``
     gives the statistics per feature instead: frozen ones are constants
@@ -326,7 +324,7 @@ def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
     else:
         mu, var = (np.asarray(s, dtype=x.data.dtype).reshape(pshape)
                    for s in stats)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     out = (x.data - mu) * inv * gam + bet
     params = tuple(a for a in range(x.ndim) if a != axis)
 
@@ -348,13 +346,13 @@ def _normalize(op, x, gamma, beta, axis, over, eps, stats=None,
     return _make(op, out, (x, gamma, beta), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize over the last axis, then scale/shift per feature."""
     last = x.ndim - 1
-    return _normalize("layer_norm", x, gamma, beta, last, (last,), eps)
+    return _normalize("layer_norm", x, gamma, beta, last, (last,))
 
 
-def batch_norm(x, gamma, beta, stats, eps=1e-5, frozen=True):
+def batch_norm(x, gamma, beta, stats, frozen=True):
     """Channel-axis-1 batch normalization with per-channel statistics
     ``stats=(mean, var)``: by default the frozen ones of the inference
     form, or with ``frozen=False`` x's own biased batch statistics over
@@ -364,7 +362,7 @@ def batch_norm(x, gamma, beta, stats, eps=1e-5, frozen=True):
     if x.ndim < 2:
         raise ShapeError("batch_norm expects (N, C, ...) input")
     over = (0,) + tuple(range(2, x.ndim))
-    return _normalize("batch_norm", x, gamma, beta, 1, over, eps, stats,
+    return _normalize("batch_norm", x, gamma, beta, 1, over, stats,
                       frozen=frozen)
 
 

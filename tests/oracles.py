@@ -288,6 +288,21 @@ def swin_reachable_extent(n, patch, window, shift, depths, stage):
     return extent, len(voxels) == extent
 
 
+def as_float64(module):
+    """Cast every parameter and buffer of ``module`` and of its children to
+    float64 in place, so a gradient check runs the model in double
+    precision; returns ``module``. Models are built float32."""
+    for value in vars(module).values():
+        if isinstance(value, Tensor):
+            value.data = value.data.astype(np.float64)
+    buffers = getattr(module, "_buffers", {})
+    for name in buffers:
+        buffers[name] = buffers[name].astype(np.float64)
+    for _, child in module._children():
+        as_float64(child)
+    return module
+
+
 def grad_check(f, xs, eps=1e-5, sample=None, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
@@ -300,8 +315,8 @@ def grad_check(f, xs, eps=1e-5, sample=None, seed=0):
         xs = [xs]
     leaves = []
     for x in xs:
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-        leaves.append(Tensor(arr.copy(), requires_grad=True, dtype=np.float64))
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, np.float64)
+        leaves.append(Tensor(arr.copy(), requires_grad=True))
 
     out = f(*leaves)
     if out.size != 1:

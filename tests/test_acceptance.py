@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    as_float64,
     attention_loops,
     auroc_pairs,
     conv3d_loops,
@@ -246,7 +247,7 @@ def _model_fd_worst(name, n_param_coords=12, n_input_coords=6):
     window removes it; a genuine gradient bug persists at every eps.
     """
     cfg = desk_config(name)
-    model = build_model(cfg, seed=7, dtype=np.float64)
+    model = as_float64(build_model(cfg, seed=7))
     rng = np.random.default_rng(17)
     x = rng.normal(0.0, 1.0, size=(1, 1) + cfg.input_shape)
     y = np.array([0.7], dtype=np.float64)
@@ -372,8 +373,8 @@ def _check_attention_block_bank(n, tol):
         d = heads * dh
         L = int(r.integers(3, 8))
         rng_init = np.random.default_rng(6000 + i)
-        qkv = nn.Linear(rng_init, d, 3 * d, dtype=np.float64)
-        proj = nn.Linear(rng_init, d, d, dtype=np.float64)
+        qkv = as_float64(nn.Linear(rng_init, d, 3 * d))
+        proj = as_float64(nn.Linear(rng_init, d, d))
         x = r.normal(size=(1, L, d))
         got = nn.multi_head_attention(_t64(x), qkv, proj, heads)[0].data[0]
         fused = x[0] @ qkv.weight.data + qkv.bias.data
@@ -406,7 +407,7 @@ def _shifted_window_forward(tokens, grid, window, shift):
     scores = T.matmul(wins, T.transpose(wins, (0, 2, 1)))
     scores = T.mul(scores, _t64(np.asarray(1.0 / np.sqrt(d))))
     if any(shift):
-        mask = nn.shift_window_mask(grid, window, shift, dtype=np.float64)
+        mask = nn.shift_window_mask(grid, window, shift)
         scores = T.reshape(scores, (1, g, wl, wl))
         scores = T.add(scores, Tensor(mask))
         scores = T.reshape(scores, (g, wl, wl))
@@ -494,8 +495,7 @@ def test_criterion_03_swin_mechanics():
         assert float(np.abs(got - want).max()) <= 1e-10
 
         dim = 6
-        pm = nn.PatchMerge(np.random.default_rng(0), dim, nd=3,
-                           dtype=np.float64)
+        pm = as_float64(nn.PatchMerge(np.random.default_rng(0), dim, nd=3))
         tokens = Tensor(rng.normal(size=(1, 28, 28, 20, dim)))
         merged, half = pm(tokens)
         assert half == (14, 14, 10)
@@ -772,13 +772,14 @@ def test_criterion_09_mechanistic_reports(desk_e2e):
             assert float(rows[0][6]) > 0.0
 
         # threshold monotonicity + finite-difference gradient verification
-        # on the trained CNN, rebuilt in float64
+        # on the trained CNN, cast to float64
         run_dir = first / "runs" / "cnn3d"
         with open(run_dir / "resolved_config.json") as fh:
             run_cfg = json.load(fh)
         cfg = ModelConfig(**run_cfg["model"])
-        model = build_model(cfg, seed=0, dtype=np.float64)
+        model = build_model(cfg, seed=0)
         model.load(run_dir / "fold0.ckpt")
+        as_float64(model)
         records = read_manifest(first / "data" / "manifest.csv")
         vol = read_volume(first / "data" / records[0].volume_path)
         x = make_input(vol, cfg).astype(np.float64)

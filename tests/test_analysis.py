@@ -1,5 +1,7 @@
 """Receptive fields, attention distances, CKA, and dump-file tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from volab.tensor import NumericError, ShapeError, Tensor, backward, mean, \
     mul, tsum
 
 from oracles import (
+    as_float64,
     attention_distances_loop,
     cka_direct,
     swin_reachable_extent,
@@ -40,9 +43,12 @@ from oracles import (
 class _LinearStub:
     """y = sum(w * V); gradient w.r.t. the input is exactly |w|."""
 
-    def __init__(self, w, config=None):
+    frozen = contextlib.nullcontext  # no parameters to freeze
+
+    def __init__(self, w):
         self.w = np.asarray(w, dtype=np.float64)
-        self.config = config
+        self.config = ModelConfig(family="cnn", input_dims=3,
+                                  input_shape=self.w.shape)
 
     def forward(self, x, **kwargs):
         return ForwardResult(pred=tsum(mul(x, Tensor(self.w[None, None]))))
@@ -50,6 +56,7 @@ class _LinearStub:
 
 class _MeanStub:
     config = desk_config("cnn3d")
+    frozen = contextlib.nullcontext
 
     def forward(self, x, **kwargs):
         return ForwardResult(pred=mean(x))
@@ -105,7 +112,7 @@ class TestErfMap:
         cfg = ModelConfig(family="cnn", input_dims=3, input_shape=(8, 8, 8),
                           stem_channels=2, stage_channels=(2, 4),
                           stage_strides=(1, 2))
-        model = build_model(cfg, seed=3, dtype=np.float64)
+        model = as_float64(build_model(cfg, seed=3))
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 8, 8, 8))
         grad = erf_map(model, x, ["output"])[0].gradient
@@ -187,7 +194,7 @@ class TestErfMap:
     ])
     def test_gradient_support_inside_theoretical_box(self, name, tap):
         cfg = desk_config(name)
-        model = build_model(cfg, seed=5, dtype=np.float64)
+        model = as_float64(build_model(cfg, seed=5))
         if name == "hybrid_transformer":
             # the aggregator tap sums agg_norm's CLS row; with the init
             # gamma (all ones, beta zero) that sum is constant, so its
@@ -204,7 +211,7 @@ class TestErfMap:
 
     def test_patch_embed_support_is_exactly_one_patch(self):
         cfg = desk_config("swin3d")
-        model = build_model(cfg, seed=7, dtype=np.float64)
+        model = as_float64(build_model(cfg, seed=7))
         x = np.random.default_rng(8).normal(size=(1,) + cfg.input_shape)
         grad = erf_map(model, x, ["patch_embed"])[0].gradient
         pos = np.argwhere(grad > 0)

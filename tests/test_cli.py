@@ -309,10 +309,13 @@ class TestTrain:
         dict(CNN_BLOCK, input_shape="abc"),
         dict(CNN_BLOCK, in_channels=2),
         dict(SWIN_BLOCK, input_shape=[8, 8, 8]),
+        dict(CNN_BLOCK, input_shape=[1, 1, 1]),
+        dict(HYBRID_BLOCK, input_shape=[32, 1, 32]),
     ], ids=["zero_heads", "zero_patch", "zero_window", "zero_embed_dim",
             "zero_mlp_ratio", "nan_mlp_ratio", "full_dropout",
             "indivisible_agg_heads", "zero_agg_hidden", "text_input_shape",
-            "two_channels", "unhalvable_swin_grid"])
+            "two_channels", "unhalvable_swin_grid", "unpoolable_cnn_input",
+            "unpoolable_hybrid_slice"])
     def test_degenerate_model_block_exits_one_before_writing(
             self, workdir, tmp_path, block):
         cfg = tmp_path / "exp.json"
@@ -824,6 +827,28 @@ class TestDamagedRun:
         argv = (["report", "--runs", str(run)] if command == "report" else
                 ["analyze", "--checkpoint", *ckpts, "--instrument", command])
         assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column,cell", [
+        (3, "x"), (2, "x"), (4, "x"), (4, "1.5"), (None, None),
+    ], ids=["text_pred", "text_p_kc", "text_fold", "fractional_fold",
+            "short_row"])
+    def test_damaged_predictions_exit_two(self, workdir, tmp_path, column,
+                                          cell):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "pooled_predictions.csv"
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        if column is None:
+            del row[-1]
+        else:
+            row[column] = cell
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rep"
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(out)]) == 2
         assert not out.exists()
 
     def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,

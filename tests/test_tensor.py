@@ -10,7 +10,13 @@ import volab.tensor as T
 from volab.labels import DataError
 from volab.nn import Mlp
 from volab.tensor import NumericError, ShapeError, Tensor, backward
-from oracles import attention_loops, conv3d_loops, grad_check, pool3d_loops
+from oracles import (
+    as_float64,
+    attention_loops,
+    conv3d_loops,
+    grad_check,
+    pool3d_loops,
+)
 
 
 def t64(arr, grad=True):
@@ -143,7 +149,7 @@ class TestBackward:
 
 def _probe(r, shape):
     # fixed projection constant so reductions exercise non-uniform cotangents
-    return Tensor(r.normal(size=shape), dtype=np.float64)
+    return Tensor(r.normal(size=shape))
 
 
 def _case_softmax(r):
@@ -351,8 +357,7 @@ class TestConvGradientSkipping:
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 3, 5, 4, 6))
         w = rng.normal(size=(out_ch, 3, 3, 3, 3))
-        c = Tensor(rng.normal(size=(2, out_ch, 5, 2 if stride != 1 else 4, 6)),
-                   dtype=np.float64)
+        c = Tensor(rng.normal(size=(2, out_ch, 5, 2 if stride != 1 else 4, 6)))
         grads = []
         for x_grad in (True, False):
             xt, wt = t64(x, grad=x_grad), t64(w)
@@ -467,7 +472,7 @@ class _CountingNode(T.Node):
 
 
 def _mlp(seed):
-    return Mlp(np.random.default_rng(seed), 3, 5, dtype=np.float64)
+    return as_float64(Mlp(np.random.default_rng(seed), 3, 5))
 
 
 class TestFrozen:
