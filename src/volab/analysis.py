@@ -147,16 +147,13 @@ def _stage_index(stage, prefix, count):
     return None
 
 
-def _swin_axis_extent(n, patch, window, shift, depths, upto):
-    """Reachable voxel extent along one axis for the center token of swin
-    stage ``upto``: backward interval propagation through the stage's
-    blocks, the merges, and the patch embedding. Windows are anchored to
-    the truncated shifted partition, so reach saturates instead of growing
-    like a sliding kernel."""
-    grids = [n // patch if n % patch == 0 else n // patch + 1]
-    for _ in depths[1:]:
-        g = grids[-1]
-        grids.append(g // 2 if g % 2 == 0 else (g + 1) // 2)
+def _swin_axis_extent(n, patch, window, grids, depths, upto):
+    """Reachable voxel extent along one axis, of ``grids`` tokens per
+    stage, for the center token of swin stage ``upto``: backward interval
+    propagation through the stage's blocks, the merges, and the patch
+    embedding. Windows are anchored to the truncated shifted partition,
+    so reach saturates instead of growing like a sliding kernel."""
+    shift = window // 2
     jump = patch * 2 ** (upto - 1)
     g_tap = grids[upto - 1]
     cents = np.arange(g_tap) * jump + (jump - 1) / 2.0
@@ -195,10 +192,10 @@ def theoretical_extents(cfg, stage):
             return np.minimum(np.asarray(cfg.patch_size), shape)
         k = _stage_index(stage, "stage", len(cfg.stage_depths))
         if k is not None:
-            return np.array([
-                _swin_axis_extent(n, p, w, w // 2, cfg.stage_depths, k)
-                for n, p, w in zip(cfg.input_shape, cfg.patch_size,
-                                   cfg.window_size)], dtype=np.int64)
+            axes = zip(cfg.input_shape, cfg.patch_size, cfg.window_size,
+                       zip(*cfg.stage_grids()))
+            return np.array([_swin_axis_extent(*axis, cfg.stage_depths, k)
+                             for axis in axes], dtype=np.int64)
     else:  # hybrids: per-slice 2-D encoder ending in GAP, then aggregator
         if stage == "encoder":
             return np.array([1, shape[1], shape[2]], dtype=np.int64)

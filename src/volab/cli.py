@@ -179,7 +179,8 @@ def load_experiment(path):
 
 def model_from_block(block):
     """Model block: {"preset": name[, "scale": desk|paper]} or inline
-    ModelConfig fields. Returns (config, default report name)."""
+    ModelConfig fields. Returns (config, default report name). A swin
+    window, clamped to each stage's token grid, must divide it."""
     if not isinstance(block, dict) or not block:
         raise UsageError("model block must be a non-empty object")
     block = dict(block)
@@ -199,12 +200,19 @@ def model_from_block(block):
             cfg = (desk_config if scale == "desk" else paper_config)(preset)
         except KeyError as err:
             raise UsageError(str(err)) from err
-        return cfg, preset
-    try:
-        cfg = ModelConfig(**block)
-    except (TypeError, ShapeError) as err:
-        raise UsageError(f"bad model block: {err}") from err
-    return cfg, f"{cfg.family}{cfg.input_dims}d"
+        name = preset
+    else:
+        try:
+            cfg = ModelConfig(**block)
+        except (TypeError, ShapeError) as err:
+            raise UsageError(f"bad model block: {err}") from err
+        name = f"{cfg.family}{cfg.input_dims}d"
+    grids = cfg.stage_grids() if cfg.family == "swin" else []
+    for s, grid in enumerate(grids, start=1):
+        if any(g % min(w, g) for g, w in zip(grid, cfg.window_size)):
+            raise UsageError(f"bad model block: stage {s} grid {grid} not "
+                             f"divisible by window {cfg.window_size}")
+    return cfg, name
 
 
 def train_config_from_block(block, seed):

@@ -34,6 +34,7 @@ from .nn import (
     SwinBlock,
     TransformerBlock,
     _normal,
+    _partition_np,
     sinusoid_positions,
 )
 from .tensor import (
@@ -142,27 +143,22 @@ class ModelConfig:
             if self.embed_dim % self.n_heads != 0:
                 raise ShapeError(f"embed dim {self.embed_dim} not divisible "
                                  f"by {self.n_heads} heads")
-            if self.pad_policy == "strict":
-                for s, p in zip(self.input_shape, self.patch_size):
-                    if s % p != 0:
-                        raise ShapeError(
-                            f"input {self.input_shape} not divisible by "
-                            f"patch {self.patch_size} (pad_policy=strict)")
+            if self.pad_policy == "strict" and any(
+                    s % p for s, p in zip(self.input_shape, self.patch_size)):
+                raise ShapeError(f"input {self.input_shape} not divisible by "
+                                 f"patch {self.patch_size} (pad_policy=strict)")
         if self.family == "swin":
             if len(self.window_size) != self.input_dims:
                 raise ShapeError("window_size must match input_dims")
             if not self.stage_depths:
                 raise ShapeError("swin needs stage_depths")
-            if self.pad_policy == "strict":
-                # each stage after the first starts with a 2x merge
-                grid = self.token_grid()
-                for _ in self.stage_depths[1:]:
-                    if any(g % 2 for g in grid):
-                        raise ShapeError(
-                            f"token grid {self.token_grid()} cannot be "
-                            f"halved before each of stages 2-"
-                            f"{len(self.stage_depths)} (pad_policy=strict)")
-                    grid = tuple(g // 2 for g in grid)
+            # each stage after the first starts with a 2x merge
+            if self.pad_policy == "strict" and any(
+                    g % 2 for grid in self.stage_grids()[:-1] for g in grid):
+                raise ShapeError(
+                    f"token grid {self.token_grid()} cannot be halved "
+                    f"before each of stages 2-{len(self.stage_depths)} "
+                    f"(pad_policy=strict)")
         if self.family == "cnn" or self.family.startswith("hybrid"):
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "
@@ -179,14 +175,19 @@ class ModelConfig:
                              f"{self.agg_heads} heads")
 
     def token_grid(self):
-        """Token grid after patch embedding (pads first when allowed)."""
+        """Token grid after patch embedding, a partial patch padded."""
         if self.family not in ("vit", "swin"):
             raise ShapeError(f"{self.family} has no token grid")
-        grid = []
-        for s, p in zip(self.input_shape, self.patch_size):
-            padded = s + ((-s) % p if self.pad_policy == "pad" else 0)
-            grid.append(padded // p)
-        return tuple(grid)
+        return tuple(-(-s // p)
+                     for s, p in zip(self.input_shape, self.patch_size))
+
+    def stage_grids(self):
+        """Token grid of each swin stage: the patch grid, then halved by
+        the merge ahead of each later stage, an odd axis rounding up."""
+        grids = [self.token_grid()]
+        for _ in self.stage_depths[1:]:
+            grids.append(tuple(-(-g // 2) for g in grids[-1]))
+        return grids
 
 
 def desk_config(name):
@@ -436,8 +437,7 @@ class VitNet(ModelInstance):
     def __init__(self, rng, cfg):
         super().__init__(cfg)
         d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy)
+        self.embed = PatchEmbed(rng, cfg.patch_size, d)
         self.cls = _normal(rng, (1, d), 0.02)
         n_tokens = 1
         for g in cfg.token_grid():
@@ -480,12 +480,9 @@ def merge_centroids(cgrid):
     nd = cgrid.ndim - 1
     pads = [(0, g % 2) for g in cgrid.shape[:-1]] + [(0, 0)]
     arr = np.pad(cgrid, pads, constant_values=np.nan)
-    shape = []
-    for g in arr.shape[:-1]:
-        shape.extend([g // 2, 2])
-    shape.append(nd)
-    axes = tuple(2 * a + 1 for a in range(nd))
-    return np.nanmean(arr.reshape(shape), axis=axes)
+    half = tuple(g // 2 for g in arr.shape[:-1])
+    blocks = _partition_np(arr, (2,) * nd)
+    return np.nanmean(blocks, axis=1).reshape(half + (nd,))
 
 
 class SwinNet(ModelInstance):
@@ -493,8 +490,7 @@ class SwinNet(ModelInstance):
         super().__init__(cfg)
         nd = cfg.input_dims
         d = cfg.embed_dim
-        self.embed = PatchEmbed(rng, cfg.patch_size, d,
-                                pad_policy=cfg.pad_policy)
+        self.embed = PatchEmbed(rng, cfg.patch_size, d)
         self.embed_norm = LayerNorm(d)
         shift = tuple(w // 2 for w in cfg.window_size)
         stages, merges = [], []
@@ -509,8 +505,7 @@ class SwinNet(ModelInstance):
                                         blk_shift, mlp_ratio=cfg.mlp_ratio))
             stages.append(blocks)
             if s < len(cfg.stage_depths) - 1:
-                merges.append(PatchMerge(rng, dim_s, nd,
-                                         pad_policy=cfg.pad_policy))
+                merges.append(PatchMerge(rng, dim_s, nd))
         self.stages = [blk for blocks in stages for blk in blocks]
         self.merges = merges
         final_dim = d * (2 ** (len(cfg.stage_depths) - 1))

@@ -205,61 +205,55 @@ def sinusoid_positions(n_positions, dim):
     return table.astype(np.float32)
 
 
+def _raster_split(shape, window, first):
+    """How a grid is cut into raster-ordered windows; every partition in
+    this module is built from it. The grid is ``shape[first:first + nd]``
+    and must be divisible by the window along every axis; the other axes
+    stay in place. Returns the per-axis window counts, ``shape`` with each
+    grid axis split into (count, window), and the permutation of that
+    split shape that moves every count axis ahead of every window axis."""
+    nd = len(window)
+    grid = tuple(shape[first:first + nd])
+    if any(g % w for g, w in zip(grid, window)):
+        raise ShapeError(f"grid {grid} not divisible by window "
+                         f"{tuple(window)}")
+    counts = tuple(g // w for g, w in zip(grid, window))
+    split = (tuple(shape[:first]) + sum(zip(counts, window), ())
+             + tuple(shape[first + nd:]))
+    pairs = range(first, first + 2 * nd)
+    perm = (tuple(range(first)) + tuple(pairs[::2]) + tuple(pairs[1::2])
+            + tuple(range(first + 2 * nd, len(split))))
+    return counts, split, perm
+
+
 def window_partition(x, window):
-    """(N, g0..gk, D) -> (N * n_windows, window_len, D).
+    """(N, g0..gk, D) -> (N * n_windows, window_len, D), plus the
+    per-axis window counts.
 
     Windows are raster-ordered: all windows of the first sample, then the
     next sample. Grid must be divisible by the window along every axis.
     """
-    n = x.shape[0]
-    d = x.shape[-1]
-    grid = x.shape[1:-1]
-    nd = len(grid)
-    counts = []
-    for g, w in zip(grid, window):
-        if g % w != 0:
-            raise ShapeError(f"grid {grid} not divisible by window "
-                             f"{tuple(window)}")
-        counts.append(g // w)
-    shape = [n]
-    for c, w in zip(counts, window):
-        shape.extend([c, w])
-    shape.append(d)
-    x = reshape(x, tuple(shape))
-    perm = ([0] + [1 + 2 * a for a in range(nd)]
-            + [2 + 2 * a for a in range(nd)] + [2 * nd + 1])
-    x = transpose(x, perm)
-    return reshape(x, (n * _prod(counts), _prod(window), d)), tuple(counts)
+    counts, split, perm = _raster_split(x.shape, window, 1)
+    x = transpose(reshape(x, split), perm)
+    return reshape(x, (x.shape[0] * _prod(counts), _prod(window),
+                       x.shape[-1])), counts
 
 
 def window_unpartition(x, window, counts, n):
     """Inverse of window_partition for a batch of n samples."""
-    nd = len(window)
-    d = x.shape[-1]
-    x = reshape(x, (n,) + tuple(counts) + tuple(window) + (d,))
-    perm = [0]
-    for a in range(nd):
-        perm.extend([1 + a, 1 + nd + a])
-    perm.append(2 * nd + 1)
-    x = transpose(x, perm)
     grid = tuple(c * w for c, w in zip(counts, window))
-    return reshape(x, (n,) + grid + (d,))
+    shape = (n,) + grid + (x.shape[-1],)
+    _, split, perm = _raster_split(shape, window, 1)
+    x = reshape(x, tuple(split[a] for a in perm))
+    return reshape(transpose(x, np.argsort(perm)), shape)
 
 
 def _partition_np(arr, window):
     """Numpy twin of window_partition for (*grid,) or (*grid, extra)."""
-    extra = () if arr.ndim == len(window) else arr.shape[len(window):]
-    grid = arr.shape[:len(window)]
-    nd = len(window)
-    counts = [g // w for g, w in zip(grid, window)]
-    shape = []
-    for c, w in zip(counts, window):
-        shape.extend([c, w])
-    arr = arr.reshape(tuple(shape) + extra)
-    perm = ([2 * a for a in range(nd)] + [2 * a + 1 for a in range(nd)]
-            + list(range(2 * nd, arr.ndim)))
-    arr = arr.transpose(perm)
-    return arr.reshape((_prod(counts), _prod(window)) + extra)
+    counts, split, perm = _raster_split(arr.shape, window, 0)
+    arr = arr.reshape(split).transpose(perm)
+    return arr.reshape((_prod(counts), _prod(window))
+                       + arr.shape[2 * len(window):])
 
 
 def shift_window_mask(grid, window, shift):
@@ -453,46 +447,29 @@ class SwinBlock(Module):
 class PatchEmbed(Module):
     """Non-overlapping patch embedding for an (N, 1, *spatial) input.
 
-    Patches are cut by reshape/transpose and projected with one Linear,
-    which is exactly a stride=patch convolution. Spatial dims that do not
-    divide the patch are zero-padded at the high end when pad_policy is
-    "pad", else it is an error.
+    The patches are window_partition's windows of the channel-last input,
+    projected with one Linear: exactly a stride=patch convolution. Spatial
+    dims that do not divide the patch are zero-padded at the high end;
+    only a ModelConfig that allows padding admits such an input.
     """
 
-    def __init__(self, rng, patch, dim, pad_policy="strict"):
+    def __init__(self, rng, patch, dim):
         super().__init__()
         self.patch = tuple(int(p) for p in patch)
         self.dim = int(dim)
-        self.pad_policy = pad_policy
         self.proj = Linear(rng, _prod(self.patch), dim)
 
     def __call__(self, x):
-        n, c = x.shape[0], x.shape[1]
-        spatial = x.shape[2:]
-        nd = len(self.patch)
-        if len(spatial) != nd:
-            raise ShapeError(f"expected {nd} spatial dims, got {spatial}")
-        pads = []
-        for s, p in zip(spatial, self.patch):
-            rem = (-s) % p
-            if rem and self.pad_policy != "pad":
-                raise ShapeError(
-                    f"spatial dims {spatial} not divisible by patch "
-                    f"{self.patch} (pad_policy=strict)")
-            pads.append(rem)
-        if any(pads):
-            x = _zero_pad_high(x, pads, 2)
-            spatial = x.shape[2:]
-        grid = tuple(s // p for s, p in zip(spatial, self.patch))
-        shape = [n, c]
-        for g, p in zip(grid, self.patch):
-            shape.extend([g, p])
-        x = reshape(x, tuple(shape))
-        perm = ([0] + [2 + 2 * a for a in range(nd)]
-                + [1] + [3 + 2 * a for a in range(nd)])
-        x = transpose(x, perm)
-        x = reshape(x, (n,) + grid + (c * _prod(self.patch),))
-        tokens = self.proj(reshape(x, (n, _prod(grid), c * _prod(self.patch))))
+        n, spatial = x.shape[0], x.shape[2:]
+        if len(spatial) != len(self.patch):
+            raise ShapeError(f"expected {len(self.patch)} spatial dims, "
+                             f"got {spatial}")
+        x = _zero_pad_high(x, [(-s) % p for s, p in
+                               zip(spatial, self.patch)], 2)
+        x = reshape(x, (n,) + x.shape[2:] + (1,))
+        patches, grid = window_partition(x, self.patch)
+        tokens = self.proj(reshape(patches, (n, _prod(grid),
+                                             _prod(self.patch))))
         return tokens, grid
 
     def centroids(self, grid):
@@ -517,25 +494,19 @@ def _zero_pad_high(x, pads, first):
 
 class PatchMerge(Module):
     """Swin downsampling: concat each 2^nd block of neighbors, project
-    2^nd * D -> 2D. Grid must be even along every axis (or pad_policy
-    "pad" zero-extends odd axes by one token)."""
+    2^nd * D -> 2D. An odd grid axis is zero-extended by one token; only
+    a ModelConfig that allows padding admits such a grid."""
 
-    def __init__(self, rng, dim, nd, pad_policy="strict"):
+    def __init__(self, rng, dim, nd):
         super().__init__()
         self.dim = int(dim)
         self.nd = int(nd)
-        self.pad_policy = pad_policy
         self.norm = LayerNorm((2 ** nd) * dim)
         self.proj = Linear(rng, (2 ** nd) * dim, 2 * dim, bias=False)
 
     def __call__(self, x):
         n = x.shape[0]
-        pads = [g % 2 for g in x.shape[1:-1]]
-        if any(pads):
-            if self.pad_policy != "pad":
-                raise ShapeError(f"grid {x.shape[1:-1]} must be even to "
-                                 f"merge (pad_policy=strict)")
-            x = _zero_pad_high(x, pads, 1)
+        x = _zero_pad_high(x, [g % 2 for g in x.shape[1:-1]], 1)
         blocks, half = window_partition(x, (2,) * self.nd)
         x = reshape(blocks, (n,) + half + ((2 ** self.nd) * x.shape[-1],))
         return self.proj(self.norm(x)), half

@@ -311,11 +311,14 @@ class TestTrain:
         dict(SWIN_BLOCK, input_shape=[8, 8, 8]),
         dict(CNN_BLOCK, input_shape=[1, 1, 1]),
         dict(HYBRID_BLOCK, input_shape=[32, 1, 32]),
+        dict(SWIN_BLOCK, input_shape=[24, 24, 24], stage_depths=[2, 2]),
+        {"preset": "swin3d", "scale": "paper"},
     ], ids=["zero_heads", "zero_patch", "zero_window", "zero_embed_dim",
             "zero_mlp_ratio", "nan_mlp_ratio", "full_dropout",
             "indivisible_agg_heads", "zero_agg_hidden", "text_input_shape",
             "two_channels", "unhalvable_swin_grid", "unpoolable_cnn_input",
-            "unpoolable_hybrid_slice"])
+            "unpoolable_hybrid_slice", "indivisible_swin_window",
+            "paper_swin3d_preset"])
     def test_degenerate_model_block_exits_one_before_writing(
             self, workdir, tmp_path, block):
         cfg = tmp_path / "exp.json"

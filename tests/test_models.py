@@ -3,7 +3,12 @@ brute-force oracle, merge behavior, aggregators, and the forward contract
 shared by every family."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,8 @@ from volab.tensor import (
     add,
     backward,
     concat,
+    conv2d,
+    conv3d,
     expand_batch,
     load_checkpoint,
     matmul,
@@ -87,6 +94,8 @@ class TestTokenGeometry:
     def test_paper_swin3d_grid_and_window_count(self):
         cfg = paper_config("swin3d")
         assert cfg.token_grid() == (28, 28, 20)
+        assert cfg.stage_grids() == [(28, 28, 20), (14, 14, 10), (7, 7, 5),
+                                     (4, 4, 3)]
         x = Tensor(np.zeros((1, 28, 28, 20, 8), np.float32))
         wins, counts = nn.window_partition(x, (4, 4, 4))
         assert counts == (7, 7, 5)
@@ -144,6 +153,13 @@ class TestWindowMechanics:
         x = Tensor(np.zeros((1, 5, 4, 3), np.float32))
         with pytest.raises(ShapeError):
             nn.window_partition(x, (2, 2))
+
+    @pytest.mark.parametrize("grid,window", [
+        ((4, 6), (2, 3)), ((4, 4, 2), (2, 2, 1)), ((6,), (3,))])
+    def test_numpy_partition_matches_tensor_partition(self, grid, window):
+        a = _rng(4).normal(size=grid + (3,))
+        wins, _ = nn.window_partition(Tensor(a[None]), window)
+        assert np.array_equal(nn._partition_np(a, window), wins.data)
 
     def test_shift_then_inverse_is_identity(self):
         rng = _rng(1)
@@ -223,6 +239,29 @@ class TestWindowMechanics:
         assert attn.shape == (1, 2, 4, 4)
 
 
+class TestPatchEmbed:
+    @pytest.mark.parametrize("spatial,patch", [
+        ((8, 12), (4, 3)), ((8, 4, 6), (2, 2, 3)), ((7, 8, 5), (4, 4, 2))],
+        ids=["2d", "3d", "3d_padded"])
+    def test_matches_strided_conv(self, spatial, patch):
+        """Tokens equal a stride=patch convolution with the projection as
+        its kernel, in raster order (zero padding at the high end)."""
+        rng = _rng(6)
+        embed = nn.PatchEmbed(rng, patch, 5)
+        embed.proj.bias.data[...] = rng.normal(size=5)
+        x = rng.normal(size=(2, 1) + spatial).astype(np.float32)
+        tokens, grid = embed(Tensor(x))
+        pads = [(0, 0), (0, 0)] + [(0, (-s) % p)
+                                   for s, p in zip(spatial, patch)]
+        w = embed.proj.weight.data.T.reshape((5, 1) + patch)
+        op = conv3d if len(patch) == 3 else conv2d
+        out = op(Tensor(np.pad(x, pads)), Tensor(w), stride=patch).data
+        want = np.moveaxis(out, 1, -1).reshape(2, -1, 5) \
+            + embed.proj.bias.data
+        assert grid == out.shape[2:]
+        assert np.allclose(tokens.data, want, atol=1e-5)
+
+
 class TestPatchMerge:
     def test_constant_tokens_stay_constant(self):
         rng = _rng(0)
@@ -244,12 +283,10 @@ class TestPatchMerge:
                     for i, j, k in [(1, 0, 0)]]
         assert np.allclose(merged[1, 0, 0], np.mean(children, axis=0))
 
-    def test_odd_grid_strict_raises_pad_allows(self):
+    def test_odd_grid_pads_one_token(self):
         rng = _rng(2)
         x = Tensor(np.ones((1, 3, 4, 6), np.float32))
-        with pytest.raises(ShapeError):
-            nn.PatchMerge(rng, 6, 2)(x)
-        out, half = nn.PatchMerge(rng, 6, 2, pad_policy="pad")(x)
+        out, half = nn.PatchMerge(rng, 6, 2)(x)
         assert half == (2, 2)
 
 
@@ -490,6 +527,21 @@ class TestForwardContract:
 
 
 class TestBuildDeterminism:
+    def test_preset_hash_script_is_deterministic(self):
+        """scripts/preset_hash.py prints one `name hash` line per desk
+        preset and padded geometry, the same on every run."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        outs = [subprocess.run(
+            [sys.executable, str(root / "scripts" / "preset_hash.py")],
+            env=env, capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+        assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert len(lines) == 10
+        assert all(re.fullmatch(r"\w+ [0-9a-f]{16}", ln) for ln in lines)
+        assert [ln.split()[0] for ln in lines[:8]] == PRESET_NAMES
+
     def test_same_seed_same_params(self):
         cfg = desk_config("swin2d")
         a = build_model(cfg, seed=5)
