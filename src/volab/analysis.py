@@ -297,11 +297,8 @@ def _centered(x, name):
 
 
 def cka_pair(x, y):
-    """Linear CKA between two activation matrices over the same samples.
-
-    Columns are mean-centered first; when features outnumber samples the
-    N x N Gram form is used (identical value, bounded memory).
-    """
+    """Linear CKA between two activation matrices over the same samples,
+    from the N x N Gram matrices of the mean-centered columns."""
     xc = _centered(x, "X")
     yc = _centered(y, "Y")
     n = xc.shape[0]
@@ -309,14 +306,10 @@ def cka_pair(x, y):
         raise DataError(f"sample-count mismatch: {n} vs {yc.shape[0]}")
     if n < 2:
         raise DataError("cka needs at least 2 samples")
-    if max(xc.shape[1], yc.shape[1]) > n:
-        kx = xc @ xc.T
-        ky = yc @ yc.T
-        num = float((kx * ky).sum())
-        den = float(np.linalg.norm(kx) * np.linalg.norm(ky))
-    else:
-        num = float(np.linalg.norm(xc.T @ yc) ** 2)
-        den = float(np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc))
+    kx = xc @ xc.T
+    ky = yc @ yc.T
+    num = float((kx * ky).sum())
+    den = float(np.linalg.norm(kx) * np.linalg.norm(ky))
     if den == 0.0:
         raise DataError("activation matrix is all-zero after centering")
     return num / den

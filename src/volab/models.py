@@ -339,28 +339,50 @@ class ConvBackbone(Module):
         self.nd = nd
         self.stem = Conv(rng, 1, stem_ch, (3,) * nd, stride=1, padding=1)
         self.stem_bn = BatchNorm(stem_ch)
-        blocks = []
-        prev = stem_ch
-        for ch, st in zip(channels, strides):
-            blocks.append(ResidualBlock(rng, nd, prev, ch, st))
-            prev = ch
-        self.blocks = blocks
-        self.out_channels = prev
+        widths = (stem_ch,) + tuple(channels)
+        self.blocks = [ResidualBlock(rng, nd, a, b, st)
+                       for a, b, st in zip(widths, widths[1:], strides)]
+        self.out_channels = widths[-1]
 
     def __call__(self, x):
+        """(features, taps): the globally average-pooled (N, C) output
+        and the output of every residual block."""
         pool = pool3d if self.nd == 3 else pool2d
         h = pool(relu(self.stem_bn(self.stem(x))), 2, stride=2)
         taps = []
         for blk in self.blocks:
             h = blk(h)
             taps.append(h)
-        return h, taps
+        return mean(h, axis=tuple(range(2, h.ndim))), taps
+
+
+def class_token_encode(tokens, cls, pos, blocks, norm, centroids, names,
+                       rng):
+    """The class-token encoder of vit and hybrid_transformer: prepend the
+    class token to (N, L, D) tokens, add the positions, run the blocks,
+    normalize, and read the class token out as (N, D) features. Also
+    returns, per block and named by ``names``, its tokens tap and its
+    attention record; the centroids (L, nd) gain a NaN class-token row."""
+    n, _, d = tokens.shape
+    cents = np.concatenate([np.full((1, centroids.shape[1]), np.nan),
+                            centroids], axis=0)
+    t = add(concat([expand_batch(cls, n), tokens], axis=1), pos)
+    taps, records = [], []
+    for name, blk in zip(names, blocks):
+        t, attn = blk(t, rng=rng)
+        records.append(AttentionRecord(layer=name, attn=attn,
+                                       centroids=cents[None]))
+        taps.append(StageTap(name, "tokens", t, centroids=cents))
+    t = norm(t)
+    return reshape(narrow(t, 1, 0, 1), (n, d)), taps, records
 
 
 class ModelInstance(Module):
     """A family network: its config, the input check and the forward
-    protocol. Each family builds its layers, implements ``_forward`` and
-    names its stage taps in ``stage_names``."""
+    protocol. Each family builds its layers and a ``head`` on its
+    features, implements ``_forward(x, rng)`` returning (features, stage
+    taps, attention records), and names its stage taps in
+    ``stage_names``."""
 
     def __init__(self, config):
         super().__init__()
@@ -376,15 +398,16 @@ class ModelInstance(Module):
             raise ShapeError(f"input shape {x.shape[1:]} does not match "
                              f"model input {expect}")
         self.set_training(training)
-        return self._forward(x, training, rng)
+        feat, stages, records = self._forward(x, rng)
+        pred = reshape(sigmoid(self.head(feat)), (x.shape[0],))
+        return ForwardResult(pred=pred, attention=records, stages=stages)
 
     def param_count(self):
         return sum(int(p.size) for _, p in self.named_parameters())
 
     def state_arrays(self):
         arrays = {name: p.data for name, p in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            arrays[name] = buf
+        arrays.update(self.named_buffers())
         return arrays
 
     def save(self, path, epoch=0, val_mse=0.0):
@@ -424,13 +447,10 @@ class CnnNet(ModelInstance):
         return [f"stage{i + 1}"
                 for i in range(len(self.config.stage_channels))]
 
-    def _forward(self, x, training, rng):
-        h, taps = self.backbone(x)
-        feat = mean(h, axis=tuple(range(2, h.ndim)))
-        pred = reshape(sigmoid(self.head(feat)), (x.shape[0],))
-        stages = [StageTap(name, "grid", t)
-                  for name, t in zip(self.stage_names(), taps)]
-        return ForwardResult(pred=pred, stages=stages)
+    def _forward(self, x, rng):
+        feat, taps = self.backbone(x)
+        return feat, [StageTap(name, "grid", t)
+                      for name, t in zip(self.stage_names(), taps)], []
 
 
 class VitNet(ModelInstance):
@@ -439,11 +459,8 @@ class VitNet(ModelInstance):
         d = cfg.embed_dim
         self.embed = PatchEmbed(rng, cfg.patch_size, d)
         self.cls = _normal(rng, (1, d), 0.02)
-        n_tokens = 1
-        for g in cfg.token_grid():
-            n_tokens *= g
         # learned position table covers CLS (row 0) + every patch token
-        self.pos = _normal(rng, (n_tokens + 1, d), 0.02)
+        self.pos = _normal(rng, (math.prod(cfg.token_grid()) + 1, d), 0.02)
         self.blocks = [TransformerBlock(rng, d, cfg.n_heads,
                                         mlp_ratio=cfg.mlp_ratio)
                        for _ in range(cfg.depth)]
@@ -453,24 +470,11 @@ class VitNet(ModelInstance):
     def stage_names(self):
         return [f"block{i + 1}" for i in range(self.config.depth)]
 
-    def _forward(self, x, training, rng):
-        n = x.shape[0]
+    def _forward(self, x, rng):
         tokens, grid = self.embed(x)
-        cents = self.embed.centroids(grid)
-        cls_cents = np.concatenate(
-            [np.full((1, cents.shape[1]), np.nan), cents], axis=0)
-        t = concat([expand_batch(self.cls, n), tokens], axis=1)
-        t = add(t, self.pos)
-        records, stages = [], []
-        for name, blk in zip(self.stage_names(), self.blocks):
-            t, attn = blk(t, rng=rng)
-            records.append(AttentionRecord(layer=name, attn=attn,
-                                           centroids=cls_cents[None]))
-            stages.append(StageTap(name, "tokens", t, centroids=cls_cents))
-        t = self.norm(t)
-        cls_out = reshape(narrow(t, 1, 0, 1), (n, self.config.embed_dim))
-        pred = reshape(sigmoid(self.head(cls_out)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
+        return class_token_encode(tokens, self.cls, self.pos, self.blocks,
+                                  self.norm, self.embed.centroids(grid),
+                                  self.stage_names(), rng)
 
 
 def merge_centroids(cgrid):
@@ -493,21 +497,16 @@ class SwinNet(ModelInstance):
         self.embed = PatchEmbed(rng, cfg.patch_size, d)
         self.embed_norm = LayerNorm(d)
         shift = tuple(w // 2 for w in cfg.window_size)
-        stages, merges = [], []
+        self.stages, self.merges = [], []
         for s, depth in enumerate(cfg.stage_depths):
             dim_s = d * (2 ** s)
-            heads_s = cfg.n_heads * (2 ** s)
-            blocks = []
-            for b in range(depth):
-                # even blocks use plain windows, odd blocks shifted ones
-                blk_shift = shift if b % 2 == 1 else (0,) * nd
-                blocks.append(SwinBlock(rng, dim_s, heads_s, cfg.window_size,
-                                        blk_shift, mlp_ratio=cfg.mlp_ratio))
-            stages.append(blocks)
+            # even blocks use plain windows, odd blocks shifted ones
+            self.stages += [
+                SwinBlock(rng, dim_s, cfg.n_heads * (2 ** s), cfg.window_size,
+                          shift if b % 2 == 1 else (0,) * nd,
+                          mlp_ratio=cfg.mlp_ratio) for b in range(depth)]
             if s < len(cfg.stage_depths) - 1:
-                merges.append(PatchMerge(rng, dim_s, nd))
-        self.stages = [blk for blocks in stages for blk in blocks]
-        self.merges = merges
+                self.merges.append(PatchMerge(rng, dim_s, nd))
         final_dim = d * (2 ** (len(cfg.stage_depths) - 1))
         self.norm = LayerNorm(final_dim)
         self.head = Linear(rng, final_dim, 1)
@@ -516,7 +515,7 @@ class SwinNet(ModelInstance):
         return ["patch_embed"] + [f"stage{s + 1}" for s in
                                   range(len(self.config.stage_depths))]
 
-    def _forward(self, x, training, rng):
+    def _forward(self, x, rng):
         n = x.shape[0]
         tokens, grid = self.embed(x)
         t = self.embed_norm(tokens)
@@ -538,11 +537,8 @@ class SwinNet(ModelInstance):
             if s < len(self.merges):
                 t, grid = self.merges[s](t)
                 cgrid = merge_centroids(cgrid)
-        t = reshape(t, (n, -1, t.shape[-1]))
-        t = self.norm(t)
-        feat = mean(t, axis=1)
-        pred = reshape(sigmoid(self.head(feat)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
+        t = self.norm(reshape(t, (n, -1, t.shape[-1])))
+        return mean(t, axis=1), stages, records
 
 
 class HybridNet(ModelInstance):
@@ -553,7 +549,6 @@ class HybridNet(ModelInstance):
         self.encoder = ConvBackbone(rng, 2, cfg.stem_channels,
                                     cfg.stage_channels, cfg.stage_strides)
         f = self.encoder.out_channels
-        self.feature_dim = f
         n_slices = cfg.input_shape[0]
         if cfg.family == "hybrid_lstm":
             self.agg = BiLstm(rng, f, cfg.agg_hidden)
@@ -573,37 +568,29 @@ class HybridNet(ModelInstance):
     def stage_names(self):
         return ["encoder", "aggregator"]
 
-    def _forward(self, x, training, rng):
-        n, c = x.shape[0], x.shape[1]
-        s = x.shape[2]
+    def _forward(self, x, rng):
+        lstm = self.config.family == "hybrid_lstm"
+        if self.training and not lstm and rng is None:
+            raise ValueError("hybrid_transformer in training mode needs "
+                             "an rng for dropout")
+        n, c, s = x.shape[:3]
         slices = reshape(transpose(x, (0, 2, 1, 3, 4)),
                          (n * s, c) + tuple(x.shape[3:]))
-        h, _ = self.encoder(slices)
-        feat = mean(h, axis=tuple(range(2, h.ndim)))
-        seq = reshape(feat, (n, s, self.feature_dim))
+        feat, _ = self.encoder(slices)
+        seq = reshape(feat, (n, s, feat.shape[1]))
         slice_cents = np.arange(s, dtype=np.float64)[:, None]
         records = []
-        stages = [StageTap("encoder", "tokens", seq, centroids=slice_cents)]
-        if self.config.family == "hybrid_lstm":
+        if lstm:
             agg_feat = self.agg(seq)
         else:
-            if training and rng is None:
-                raise ValueError("hybrid_transformer in training mode needs "
-                                 "an rng for dropout")
-            t = concat([expand_batch(self.cls, n), seq], axis=1)
-            t = add(t, Tensor(self._buffers["pos_table"]))
-            cls_cents = np.concatenate([np.full((1, 1), np.nan),
-                                        slice_cents], axis=0)
-            for i, blk in enumerate(self.agg_blocks):
-                t, attn = blk(t, rng=rng)
-                records.append(AttentionRecord(
-                    layer=f"agg_block{i + 1}", attn=attn,
-                    centroids=cls_cents[None]))
-            t = self.agg_norm(t)
-            agg_feat = reshape(narrow(t, 1, 0, 1), (n, self.feature_dim))
-        stages.append(StageTap("aggregator", "vector", agg_feat))
-        pred = reshape(sigmoid(self.head(agg_feat)), (n,))
-        return ForwardResult(pred=pred, attention=records, stages=stages)
+            agg_feat, _, records = class_token_encode(
+                seq, self.cls, Tensor(self._buffers["pos_table"]),
+                self.agg_blocks, self.agg_norm, slice_cents,
+                [f"agg_block{i + 1}" for i in range(len(self.agg_blocks))],
+                rng)
+        stages = [StageTap("encoder", "tokens", seq, centroids=slice_cents),
+                  StageTap("aggregator", "vector", agg_feat)]
+        return agg_feat, stages, records
 
 
 _NETS = {
@@ -624,6 +611,6 @@ def build_model(cfg, seed=0):
 
 __all__ = [
     "AttentionRecord", "FAMILIES", "ForwardResult", "ModelConfig",
-    "ModelInstance", "StageTap", "build_model", "desk_config",
-    "merge_centroids", "paper_config",
+    "ModelInstance", "StageTap", "build_model", "class_token_encode",
+    "desk_config", "merge_centroids", "paper_config",
 ]

@@ -1,10 +1,12 @@
 """Neural-network building blocks on top of the tensor engine.
 
-Modules hold parameters as Tensor attributes and expose them through a
-recursive attribute scan, so checkpointing and the optimizer never need
-per-layer registration code. Everything here is written against the
-suffix-broadcasting rules of the engine: any mask or bias that has to hit
-an interior axis is reshaped so the add happens on a suffix.
+Modules hold parameters as Tensor attributes and child modules as
+attributes or lists of them. One walk of that tree, ``Module.modules``,
+names every parameter and buffer and switches train/eval, so
+checkpointing and the optimizer never need per-layer registration code.
+Everything here is written against the suffix-broadcasting rules of the
+engine: any mask or bias that has to hit an interior axis is reshaped so
+the add happens on a suffix.
 """
 
 from __future__ import annotations
@@ -41,13 +43,6 @@ from .tensor import (
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 
 
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
-
-
 class Module:
     """Base class for layers: parameter discovery + train/eval switching."""
 
@@ -64,27 +59,27 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix=""):
-        """Depth-first (name, Tensor) pairs for every Tensor attribute,
-        frozen or not, in deterministic sorted-attribute order."""
-        out = []
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
-            if isinstance(value, Tensor):
-                out.append((f"{prefix}{name}", value))
+    def modules(self, prefix=""):
+        """Pre-order (dotted prefix, module) pairs over this module and
+        every descendant; a child's prefix ends in a dot."""
+        yield prefix, self
         for name, child in self._children():
-            out.extend(child.named_parameters(prefix=f"{prefix}{name}."))
-        return out
+            yield from child.modules(f"{prefix}{name}.")
 
-    def named_buffers(self, prefix=""):
+    def named_parameters(self):
+        """(name, Tensor) pairs for every Tensor attribute, frozen or not:
+        each module's in sorted-attribute order, parents first."""
+        return [(f"{prefix}{name}", value)
+                for prefix, module in self.modules()
+                for name, value in sorted(vars(module).items())
+                if isinstance(value, Tensor)]
+
+    def named_buffers(self):
         """Non-trainable numpy state (e.g. batch-norm running stats)."""
-        out = []
-        buffers = getattr(self, "_buffers", {})
-        for name in sorted(buffers):
-            out.append((f"{prefix}{name}", buffers[name]))
-        for name, child in self._children():
-            out.extend(child.named_buffers(prefix=f"{prefix}{name}."))
-        return out
+        return [(f"{prefix}{name}", buf)
+                for prefix, module in self.modules()
+                for name, buf in sorted(getattr(module, "_buffers",
+                                                {}).items())]
 
     @contextlib.contextmanager
     def frozen(self):
@@ -101,9 +96,8 @@ class Module:
                 p.requires_grad = flag
 
     def set_training(self, flag):
-        self.training = bool(flag)
-        for _, child in self._children():
-            child.set_training(flag)
+        for _, module in self.modules():
+            module.training = bool(flag)
         return self
 
 
@@ -115,8 +109,6 @@ def _normal(rng, shape, std):
 class Linear(Module):
     def __init__(self, rng, in_dim, out_dim, bias=True):
         super().__init__()
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
         # fan-in scaled gaussian init keeps activation variance O(1)
         self.weight = _normal(rng, (in_dim, out_dim), 1.0 / math.sqrt(in_dim))
         self.bias = (Tensor(np.zeros(out_dim, np.float32), requires_grad=True)
@@ -141,7 +133,7 @@ class Conv(Module):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        fan_in = in_ch * _prod(kernel)
+        fan_in = in_ch * math.prod(kernel)
         self.weight = _normal(rng, (out_ch, in_ch) + kernel,
                               1.0 / math.sqrt(fan_in))
 
@@ -160,7 +152,6 @@ class BatchNorm(Module):
 
     def __init__(self, channels):
         super().__init__()
-        self.channels = int(channels)
         self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self._buffers = {
@@ -188,7 +179,6 @@ class BatchNorm(Module):
 class LayerNorm(Module):
     def __init__(self, dim):
         super().__init__()
-        self.dim = int(dim)
         self.gamma = Tensor(np.ones(dim, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, np.float32), requires_grad=True)
 
@@ -235,7 +225,7 @@ def window_partition(x, window):
     """
     counts, split, perm = _raster_split(x.shape, window, 1)
     x = transpose(reshape(x, split), perm)
-    return reshape(x, (x.shape[0] * _prod(counts), _prod(window),
+    return reshape(x, (x.shape[0] * math.prod(counts), math.prod(window),
                        x.shape[-1])), counts
 
 
@@ -252,7 +242,7 @@ def _partition_np(arr, window):
     """Numpy twin of window_partition for (*grid,) or (*grid, extra)."""
     counts, split, perm = _raster_split(arr.shape, window, 0)
     arr = arr.reshape(split).transpose(perm)
-    return arr.reshape((_prod(counts), _prod(window))
+    return arr.reshape((math.prod(counts), math.prod(window))
                        + arr.shape[2 * len(window):])
 
 
@@ -369,8 +359,9 @@ class TransformerBlock(Module):
         return add(x, h), attn
 
 
-class SwinBlock(Module):
-    """Window-attention block with optional cyclic shift.
+class SwinBlock(TransformerBlock):
+    """The pre-norm block with window attention and an optional cyclic
+    shift (Liu et al., arXiv:2103.14030), plus a relative-position bias.
 
     Operates on token grids shaped (N, g0..gk, D). The window is clamped
     per axis to the grid size, and the shift is dropped along any axis
@@ -379,17 +370,10 @@ class SwinBlock(Module):
     """
 
     def __init__(self, rng, dim, n_heads, window, shift, mlp_ratio=4.0):
-        super().__init__()
-        self.dim = int(dim)
-        self.n_heads = int(n_heads)
+        super().__init__(rng, dim, n_heads, mlp_ratio=mlp_ratio)
         self.window = tuple(int(w) for w in window)
         self.shift = tuple(int(s) for s in shift)
-        self.norm1 = LayerNorm(dim)
-        self.qkv = Linear(rng, dim, 3 * dim)
-        self.proj = Linear(rng, dim, dim)
-        self.norm2 = LayerNorm(dim)
-        self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
-        table_rows = _prod(2 * w - 1 for w in self.window)
+        table_rows = math.prod(2 * w - 1 for w in self.window)
         self.rel_bias = _normal(rng, (table_rows, self.n_heads), 0.02)
         self._masks = {}
 
@@ -419,7 +403,7 @@ class SwinBlock(Module):
             h = roll(h, tuple(-s for s in shift),
                      tuple(range(1, 1 + len(grid))))
         windows, counts = window_partition(h, window)
-        groups = _prod(counts)
+        groups = math.prod(counts)
         bias = self._bias(window)
         group_mask = None
         if any(shift):
@@ -456,8 +440,7 @@ class PatchEmbed(Module):
     def __init__(self, rng, patch, dim):
         super().__init__()
         self.patch = tuple(int(p) for p in patch)
-        self.dim = int(dim)
-        self.proj = Linear(rng, _prod(self.patch), dim)
+        self.proj = Linear(rng, math.prod(self.patch), dim)
 
     def __call__(self, x):
         n, spatial = x.shape[0], x.shape[2:]
@@ -468,8 +451,8 @@ class PatchEmbed(Module):
                                zip(spatial, self.patch)], 2)
         x = reshape(x, (n,) + x.shape[2:] + (1,))
         patches, grid = window_partition(x, self.patch)
-        tokens = self.proj(reshape(patches, (n, _prod(grid),
-                                             _prod(self.patch))))
+        tokens = self.proj(reshape(patches, (n, math.prod(grid),
+                                             math.prod(self.patch))))
         return tokens, grid
 
     def centroids(self, grid):
@@ -499,7 +482,6 @@ class PatchMerge(Module):
 
     def __init__(self, rng, dim, nd):
         super().__init__()
-        self.dim = int(dim)
         self.nd = int(nd)
         self.norm = LayerNorm((2 ** nd) * dim)
         self.proj = Linear(rng, (2 ** nd) * dim, 2 * dim, bias=False)

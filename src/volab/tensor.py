@@ -119,7 +119,8 @@ def backward(output: Tensor) -> None:
     """Accumulate d(output)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
     The output must be a scalar (size 1). Gradients add across fan-out and
-    across repeated backward calls (callers zero ``.grad`` between steps).
+    across repeated backward calls (callers zero ``.grad`` between steps);
+    a leaf's ``.grad`` keeps the leaf's dtype.
     """
     if output.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
@@ -131,7 +132,7 @@ def backward(output: Tensor) -> None:
         if t.grad is None:
             t.grad = g.astype(t.data.dtype, copy=True)
         else:
-            t.grad = t.grad + g
+            t.grad += g
 
     if output.node is None:
         _leaf_accumulate(output, grads[id(output)])

@@ -292,14 +292,12 @@ def as_float64(module):
     """Cast every parameter and buffer of ``module`` and of its children to
     float64 in place, so a gradient check runs the model in double
     precision; returns ``module``. Models are built float32."""
-    for value in vars(module).values():
-        if isinstance(value, Tensor):
-            value.data = value.data.astype(np.float64)
-    buffers = getattr(module, "_buffers", {})
-    for name in buffers:
-        buffers[name] = buffers[name].astype(np.float64)
-    for _, child in module._children():
-        as_float64(child)
+    for _, p in module.named_parameters():
+        p.data = p.data.astype(np.float64)
+    for _, sub in module.modules():
+        buffers = getattr(sub, "_buffers", {})
+        for name in buffers:
+            buffers[name] = buffers[name].astype(np.float64)
     return module
 
 

@@ -614,6 +614,65 @@ class TestBuildDeterminism:
         assert m.param_count() > 1000
 
 
+def _reachable_modules(module):
+    """Every Module reachable from ``module`` through attributes and
+    list or tuple attributes, found without Module.modules()."""
+    found = {id(module): module}
+    for value in vars(module).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        for item in items:
+            if isinstance(item, nn.Module):
+                found.update(_reachable_modules(item))
+    return found
+
+
+def _resolve(root, prefix):
+    """The object a dotted prefix such as ``blocks.0.`` names."""
+    obj = root
+    for part in prefix.split(".")[:-1]:
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+class TestModuleWalk:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_each_module_once_parents_first(self, name):
+        model = build_model(desk_config(name), seed=0)
+        walk = list(model.modules())
+        order = {id(m): i for i, (_, m) in enumerate(walk)}
+        assert len(order) == len(walk)
+        assert order.keys() == _reachable_modules(model).keys()
+        assert walk[0] == ("", model)
+        for prefix, module in walk:
+            assert _resolve(model, prefix) is module
+            for child_name, child in module._children():
+                assert order[id(child)] > order[id(module)]
+                assert walk[order[id(child)]][0] == f"{prefix}{child_name}."
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_prefixes_are_the_parameter_name_prefixes(self, name):
+        model = build_model(desk_config(name), seed=0)
+        walk = list(model.modules())
+        names = [n for n, _ in model.named_parameters()]
+        owners = {n[:n.rfind(".") + 1] for n in names}
+        assert owners <= {prefix for prefix, _ in walk}
+        for prefix, module in walk:
+            under = [n for n in names if n.startswith(prefix)]
+            assert under, prefix
+            assert under == [prefix + n for n, _ in module.named_parameters()]
+        for n, p in model.named_parameters():
+            owner = n[:n.rfind(".") + 1]
+            assert getattr(_resolve(model, owner), n[len(owner):]) is p
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_set_training_reaches_every_module(self, name):
+        model = build_model(desk_config(name), seed=0)
+        modules = _reachable_modules(model).values()
+        for flag in (False, True, False):
+            assert model.set_training(flag) is model
+            assert all(m.training is flag for m in modules)
+
+
 class TestModelGradients:
     def test_backward_through_every_family(self):
         for name in ("cnn3d", "vit3d", "swin3d", "hybrid_lstm",

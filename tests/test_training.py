@@ -102,6 +102,25 @@ class TestAdamW:
         with pytest.raises(NumericError):
             opt.step(0.1)
 
+    @pytest.mark.parametrize("preset", ["vit2d", "swin2d", "swin3d",
+                                        "hybrid_transformer"])
+    def test_accumulated_grads_and_moments_stay_float32(self, preset):
+        """Two backward passes before a step, as gradient accumulation
+        runs them: a float64 VJP (gelu's) must not turn a float32 leaf's
+        gradient, or the AdamW moments built from it, into float64."""
+        cfg = desk_config(preset)
+        model = build_model(cfg, seed=0)
+        opt = AdamW(model.named_parameters(), weight_decay=0.01)
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            x = rng.normal(size=(1, 1) + cfg.input_shape).astype(np.float32)
+            res = model.forward(Tensor(x), training=True, rng=rng)
+            backward(_sse(res.pred, Tensor(np.array([0.5], np.float32))))
+        opt.step(1e-3)
+        for (name, p), m, v in zip(opt.named_params, opt.m, opt.v):
+            assert p.grad.dtype == np.float32, name
+            assert m.dtype == np.float32 and v.dtype == np.float32, name
+
 
 class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
