@@ -65,7 +65,13 @@ from .training import (
     make_input,
     samples_from_records,
 )
-from .volume import PhantomSpec, generate_phantom, read_volume, write_volume
+from .volume import (
+    PhantomSpec,
+    default_phantom_gmm,
+    generate_phantom,
+    read_volume,
+    write_volume,
+)
 
 SEED_STREAMS = ("init", "bootstrap")
 
@@ -253,6 +259,7 @@ def generate_phantom_dataset(out_dir, n, shape, seed, amplitude, sparsity,
         raise UsageError(f"sparsity must lie in (0, 1), got {sparsity}")
     if not (math.isfinite(noise) and noise >= 0):
         raise UsageError(f"noise must be nonnegative, got {noise}")
+    gmm = default_phantom_gmm() if gmm is None else gmm
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for i in range(n):
@@ -260,7 +267,7 @@ def generate_phantom_dataset(out_dir, n, shape, seed, amplitude, sparsity,
         amp = float(rng.uniform(lo, hi))
         spec = PhantomSpec(shape=shape, anomaly_amplitude=amp,
                            anomaly_sparsity=sparsity, noise_sigma=noise,
-                           **({} if gmm is None else {"label_gmm": gmm}))
+                           label_gmm=gmm)
         vol, p_kc, _ = generate_phantom(spec, rng)
         fname = f"vol_{i:04d}.volb"
         write_volume(os.path.join(out_dir, fname), vol)

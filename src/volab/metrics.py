@@ -4,7 +4,6 @@ classification metrics, plus percentile-bootstrap confidence intervals."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .labels import DataError, RiskBin, risk_bin
 
@@ -80,12 +79,31 @@ def _brier_rows(P, T):
                     ((P >= 0.0) & (P <= 1.0)).all(axis=1))
 
 
+def _average_ranks(P):
+    """1-based float64 ranks along axis 1, tied values sharing their mean
+    rank: a run of ties at sorted positions first..last ranks
+    (first + last) / 2 + 1, an exact half-integer."""
+    order = np.argsort(P, axis=1, kind="stable")
+    s = np.take_along_axis(P, order, axis=1)
+    rows, m = s.shape
+    idx = np.broadcast_to(np.arange(m), s.shape)
+    change = s[:, 1:] != s[:, :-1]
+    edge = np.ones((rows, 1), dtype=bool)
+    first = np.maximum.accumulate(
+        np.where(np.hstack([edge, change]), idx, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(np.hstack([change, edge]), idx, m)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(s.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=1)
+    return ranks
+
+
 def _auroc_rows(P, T):
     # Mann-Whitney on average ranks; the rank sums are exact in float64
     pos = T > 0.5
     n_pos = pos.sum(axis=1)
     n_pairs = n_pos * (pos.shape[1] - n_pos)
-    rank_sum = np.sum(rankdata(P, axis=1), axis=1, where=pos)
+    rank_sum = np.sum(_average_ranks(P), axis=1, where=pos)
     return _ratio(rank_sum - n_pos * (n_pos + 1) / 2.0, n_pairs, n_pairs > 0)
 
 

@@ -160,6 +160,9 @@ class ModelConfig:
                     f"before each of stages 2-{len(self.stage_depths)} "
                     f"(pad_policy=strict)")
         if self.family == "cnn" or self.family.startswith("hybrid"):
+            if not self.stage_channels:
+                raise ShapeError(f"{self.family} needs at least one conv "
+                                 f"stage, got empty stage_channels")
             if len(self.stage_channels) != len(self.stage_strides):
                 raise ShapeError("stage_channels/stage_strides length "
                                  "mismatch")

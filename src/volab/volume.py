@@ -7,6 +7,7 @@ centers, origin at index 0). All interpolation is trilinear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,14 +171,18 @@ def default_phantom_gmm() -> GmmModel:
                     covariances=[np.diag([0.03, 0.05]), np.diag([0.03, 0.05])])
 
 
+@functools.lru_cache(maxsize=4)
 def _layered_background(shape):
+    """The same for every volume of a shape, so built once and read-only."""
     d0, d1, d2 = shape
     s = np.linspace(-0.5, 0.5, d0)[:, None, None]
     y = np.linspace(0.0, 1.0, d1)[None, :, None]
     x = np.linspace(-0.5, 0.5, d2)[None, None, :]
     surface = 0.45 + 0.15 * (x ** 2 + s ** 2)   # shallow dome
     thickness = 0.08
-    return np.exp(-0.5 * ((y - surface) / thickness) ** 2)
+    background = np.exp(-0.5 * ((y - surface) / thickness) ** 2)
+    background.flags.writeable = False
+    return background
 
 
 def phantom_features(volume_shape, support, perturbation):

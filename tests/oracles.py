@@ -123,6 +123,11 @@ def auroc_pairs(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def average_ranks(P):
+    """scipy's 1-based ranks along axis 1, ties sharing their mean rank."""
+    return rankdata(P, axis=1)
+
+
 def topk_attention_distances(attn, centroids, k=5):
     """Per-query top-k attended-token distances, one pair at a time.
 

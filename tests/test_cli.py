@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -313,12 +315,15 @@ class TestTrain:
         dict(HYBRID_BLOCK, input_shape=[32, 1, 32]),
         dict(SWIN_BLOCK, input_shape=[24, 24, 24], stage_depths=[2, 2]),
         {"preset": "swin3d", "scale": "paper"},
+        dict(CNN_BLOCK, stage_channels=[], stage_strides=[]),
+        dict(HYBRID_BLOCK, stage_channels=[], stage_strides=[]),
     ], ids=["zero_heads", "zero_patch", "zero_window", "zero_embed_dim",
             "zero_mlp_ratio", "nan_mlp_ratio", "full_dropout",
             "indivisible_agg_heads", "zero_agg_hidden", "text_input_shape",
             "two_channels", "unhalvable_swin_grid", "unpoolable_cnn_input",
             "unpoolable_hybrid_slice", "indivisible_swin_window",
-            "paper_swin3d_preset"])
+            "paper_swin3d_preset", "empty_cnn_stages",
+            "empty_hybrid_stages"])
     def test_degenerate_model_block_exits_one_before_writing(
             self, workdir, tmp_path, block):
         cfg = tmp_path / "exp.json"
@@ -900,6 +905,18 @@ class TestHelpGolden:
     def test_exit_codes_documented(self):
         text = cli.build_parser().format_help()
         assert "0 success, 1 usage error, 2 data error, 3 numeric" in text
+
+
+class TestStartup:
+    def test_import_loads_no_scipy_stats(self):
+        """scipy.stats would add about half a second to every command's
+        start-up; the CLI needs only scipy.ndimage and scipy.special."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = "import sys, volab.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestReadme:

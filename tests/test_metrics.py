@@ -18,7 +18,12 @@ from volab.metrics import (
     stratified_sens_spec,
 )
 
-from oracles import auroc_pairs, bootstrap_ci_loop, report_metric_1d
+from oracles import (
+    auroc_pairs,
+    average_ranks,
+    bootstrap_ci_loop,
+    report_metric_1d,
+)
 
 unit_floats = st.floats(0.0, 1.0, width=64)
 
@@ -113,6 +118,43 @@ class TestAuroc:
         base = auroc(s, y)
         assert auroc(np.exp(3.0 * s), y) == pytest.approx(base, abs=1e-12)
         assert auroc(0.1 + 0.5 * s, y) == pytest.approx(base, abs=1e-12)
+
+
+def _rank_inputs(kind):
+    rng = np.random.default_rng(RANK_INPUTS.index(kind))
+    if kind == "random":
+        return rng.standard_normal((5, 30))
+    if kind == "heavy_ties":
+        return rng.integers(0, 3, size=(6, 40)).astype(np.float64)
+    if kind == "all_tied":
+        return np.full((3, 9), 0.25)
+    if kind == "single_column":
+        return rng.uniform(size=(4, 1))
+    return np.round(rng.uniform(size=(1, 17)), 1)  # one row
+
+
+RANK_INPUTS = ("random", "heavy_ties", "all_tied", "single_column",
+               "one_row")
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("kind", RANK_INPUTS)
+    def test_matches_rankdata(self, kind):
+        P = _rank_inputs(kind)
+        mine, want = metrics._average_ranks(P), average_ranks(P)
+        assert mine.dtype == want.dtype == np.float64
+        assert np.array_equal(mine, want)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_bootstrap_auroc_interval_unchanged(self, seed, monkeypatch):
+        # 0.1-grid scores: most resamples hold ties across both classes
+        rng = np.random.default_rng(seed)
+        p = np.round(rng.uniform(size=30), 1)
+        t = (rng.uniform(size=30) < 0.4) * 1.0
+        mine = bootstrap_ci(ROW_METRICS["auroc"], p, t, n=500, seed=seed)
+        monkeypatch.setattr(metrics, "_average_ranks", average_ranks)
+        assert mine == bootstrap_ci(ROW_METRICS["auroc"], p, t, n=500,
+                                    seed=seed)
 
 
 class TestBrierReliability:
