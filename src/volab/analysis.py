@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import DataError, Packer, Unpacker
+from .artifacts import DataError, Packer, Unpacker, is_count, require
 from .labels import risk_bin
 from .tensor import NumericError, ShapeError, Tensor, backward, narrow, tsum
 
@@ -225,8 +225,7 @@ def attention_distances(records, k=5):
     come out in (record, group, head, query, rank) order, from one stable
     argsort per record.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require(is_count(k), "k", k, "an integer >= 1")
     out = [np.empty(0)]
     for rec in records:
         attn = np.asarray(rec.attn, dtype=np.float64)

@@ -3,7 +3,9 @@ a temporary file beside its target and renamed over it, so a killed process
 leaves the old file or the new one, never a torn one (no fsync: power loss
 is out of scope). The binary formats (VOLB, VLCK, ADMP) share one framing:
 magic, little-endian fields, u32-length-prefixed UTF-8 strings, float32
-C-order arrays, and nothing after the last field."""
+C-order arrays, and nothing after the last field. The value checks every
+config, spec and flag shares live here too: a bad value raises ConfigError,
+and only the command line decides what exit code that becomes."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import struct
 
@@ -20,6 +23,27 @@ import numpy as np
 
 class DataError(ValueError):
     """A missing, malformed or truncated input file or record."""
+
+
+class ConfigError(ValueError):
+    """A degenerate value in a config, a flag or a spec dataclass."""
+
+
+def is_count(value, low=1):
+    """An integer (numpy's included, bool excluded) no smaller than low."""
+    return isinstance(value, numbers.Integral) and \
+        not isinstance(value, bool) and value >= low
+
+
+def is_real(value):
+    """A finite real number, bool excluded."""
+    return isinstance(value, numbers.Real) and \
+        not isinstance(value, bool) and math.isfinite(value)
+
+
+def require(ok, name, value, domain):
+    if not ok:
+        raise ConfigError(f"{name} must be {domain}, got {value!r}")
 
 
 def write_atomic(path, data):

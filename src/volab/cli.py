@@ -8,6 +8,8 @@ seed); rerunning with identical inputs produces byte-identical outputs,
 whatever the --parallel-folds pool size. An experiment config holds only
 what train reads; analyze takes its settings from its flags alone.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+A bad value exits 1 from a config or a flag, and 2 when it is read back
+from a run directory.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,11 +32,15 @@ from .analysis import (
     write_activation_dump,
 )
 from .artifacts import (
+    ConfigError,
     DataError,
+    is_count,
+    is_real,
     parse_json_object,
     read_bytes,
     read_csv_rows,
     read_json_object,
+    require,
     write_atomic,
     write_csv,
     write_npy,
@@ -106,10 +112,6 @@ _SCHEMA_HELP = f"""file schemas (stable, golden-file tested):
 """
 
 
-class UsageError(Exception):
-    """Bad invocation or malformed configuration: exit code 1."""
-
-
 def derive_seed(master, stream):
     """Named sub-stream of the master seed (init, bootstrap): each stream
     name is hashed on its own, so toggling one stage never perturbs the
@@ -139,97 +141,77 @@ class ExperimentConfig:
     n_folds: int = 5
     name: str = ""
 
-
-def _is_seed(value):
-    """numpy's SeedSequence takes non-negative integers only."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
+    def __post_init__(self):
+        require(is_count(self.seed, low=0), "seed", self.seed,
+                "an integer >= 0")
+        for key in ("name", "out_dir"):
+            require(isinstance(getattr(self, key), str), key,
+                    getattr(self, key), "a string")
+        require(isinstance(self.dataset, dict)
+                and set(self.dataset) == {"manifest"}
+                and isinstance(self.dataset["manifest"], str),
+                "dataset", self.dataset, '{"manifest": <path>}')
+        require(is_count(self.n_folds, low=3), "n_folds", self.n_folds,
+                "an integer >= 3 (test, validation and train need "
+                "disjoint folds)")
 
 
 def load_experiment(path):
     """An unreadable config file is a data error; one that is not a JSON
-    object, or holds bad values, is a usage error. Every check runs before
-    ``train`` writes anything."""
+    object, lacks or adds a key, or holds a bad value is a config error.
+    Every check runs before ``train`` writes anything."""
     blob = read_bytes(path, "config")
     try:
-        raw = parse_json_object(blob, f"config {path}")
-    except DataError as err:
-        raise UsageError(str(err)) from err
-    allowed = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise UsageError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key in ("seed", "out_dir", "dataset", "model"):
-        if key not in raw:
-            raise UsageError(f"config {path}: missing required key {key!r}")
-    cfg = ExperimentConfig(**raw)
-    if not _is_seed(cfg.seed):
-        raise UsageError(f"config {path}: seed must be a non-negative "
-                         f"integer, got {cfg.seed!r}")
-    for key in ("name", "out_dir"):
-        if not isinstance(getattr(cfg, key), str):
-            raise UsageError(f"config {path}: {key} must be a string, "
-                             f"got {getattr(cfg, key)!r}")
-    if not (isinstance(cfg.dataset, dict) and set(cfg.dataset) == {"manifest"}
-            and isinstance(cfg.dataset["manifest"], str)):
-        raise UsageError(f"config {path}: dataset must be "
-                         f"{{\"manifest\": <path>}}, got {cfg.dataset!r}")
-    if not isinstance(cfg.model, dict):
-        raise UsageError(f"config {path}: model must be an object")
-    if not isinstance(cfg.n_folds, int) or cfg.n_folds < 3:
-        raise UsageError(f"config {path}: n_folds must be an integer >= 3 "
-                         f"(test, validation, and train need disjoint "
-                         f"folds)")
-    return cfg
+        return ExperimentConfig(**parse_json_object(blob, "it"))
+    except (ConfigError, DataError, TypeError) as err:
+        raise ConfigError(f"config {path}: {err}") from err
 
 
 def model_from_block(block):
     """Model block: {"preset": name[, "scale": desk|paper]} or inline
     ModelConfig fields. Returns (config, default report name). A swin
     window, clamped to each stage's token grid, must divide it."""
-    if not isinstance(block, dict) or not block:
-        raise UsageError("model block must be a non-empty object")
+    require(isinstance(block, dict) and block, "model block", block,
+            "a non-empty object")
     block = dict(block)
     preset = block.pop("preset", None)
     if preset is not None:
         scale = block.pop("scale", "desk")
-        if block:
-            raise UsageError(f"preset model block has extra keys "
-                             f"{sorted(block)}")
-        if scale not in ("desk", "paper"):
-            raise UsageError(f"model scale must be desk or paper, "
-                             f"got {scale!r}")
-        if not isinstance(preset, str):
-            raise UsageError(f"model preset must be a string, "
-                             f"got {preset!r}")
+        require(not block, "preset model block's extra keys", sorted(block),
+                "empty")
+        require(scale in ("desk", "paper"), "model scale", scale,
+                "desk or paper")
+        require(isinstance(preset, str), "model preset", preset, "a string")
         try:
             cfg = (desk_config if scale == "desk" else paper_config)(preset)
         except KeyError as err:
-            raise UsageError(str(err)) from err
+            raise ConfigError(str(err)) from err
         name = preset
     else:
         try:
             cfg = ModelConfig(**block)
-        except (TypeError, ShapeError) as err:
-            raise UsageError(f"bad model block: {err}") from err
+        except TypeError as err:
+            raise ConfigError(f"bad model block: {err}") from err
         name = f"{cfg.family}{cfg.input_dims}d"
     grids = cfg.stage_grids() if cfg.family == "swin" else []
     for s, grid in enumerate(grids, start=1):
-        if any(g % min(w, g) for g, w in zip(grid, cfg.window_size)):
-            raise UsageError(f"bad model block: stage {s} grid {grid} not "
-                             f"divisible by window {cfg.window_size}")
+        require(all(g % min(w, g) == 0
+                    for g, w in zip(grid, cfg.window_size)),
+                f"stage {s} grid", grid,
+                f"divisible by window {cfg.window_size}")
     return cfg, name
 
 
 def train_config_from_block(block, seed):
-    if not isinstance(block, dict):
-        raise UsageError("train block must be an object")
-    merged = dict(block)
-    merged["seed"] = seed
+    """The block's TrainConfig with the derived init seed; a block that
+    sets a seed of its own is refused."""
+    require(isinstance(block, dict), "train block", block, "an object")
+    require("seed" not in block, "train.seed", block.get("seed"),
+            "absent (the init seed derives from the config's seed)")
     try:
-        return TrainConfig(**merged)
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"bad train block: {err}") from err
+        return TrainConfig(**block, seed=seed)
+    except TypeError as err:
+        raise ConfigError(f"bad train block: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +224,21 @@ def generate_phantom_dataset(out_dir, n, shape, seed, amplitude, sparsity,
     from (seed, index), so the i-th volume does not depend on n. Anomaly
     amplitudes are drawn uniformly from the configured range; a wide range
     makes the soft labels span all three risk bins. Every argument is
-    checked before anything is written; a bad one is a usage error."""
-    if n < 1:
-        raise UsageError(f"need at least one volume, got n={n}")
-    if not _is_seed(seed):
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    if len(shape) != 3 or min(shape) < 1:
-        raise UsageError(f"shape must be three positive ints, got {shape}")
+    checked before anything is written."""
     lo, hi = amplitude
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo):
-        raise UsageError(f"amplitude range {amplitude} must be finite and "
-                         f"nonnegative")
-    if not lo <= hi:
-        raise UsageError(f"amplitude range {amplitude} is inverted")
-    if not 0 < sparsity < 1:
-        raise UsageError(f"sparsity must lie in (0, 1), got {sparsity}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise UsageError(f"noise must be nonnegative, got {noise}")
-    gmm = default_phantom_gmm() if gmm is None else gmm
+    spec = PhantomSpec(shape=shape, anomaly_amplitude=hi,
+                       anomaly_sparsity=sparsity, noise_sigma=noise,
+                       label_gmm=default_phantom_gmm() if gmm is None else gmm)
+    require(is_count(n), "n", n, "an integer >= 1")
+    require(is_count(seed, low=0), "seed", seed, "an integer >= 0")
+    require(is_real(lo) and 0 <= lo <= hi, "amplitude range", amplitude,
+            "finite, with 0 <= low <= high")
     os.makedirs(out_dir, exist_ok=True)
     records = []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        amp = float(rng.uniform(lo, hi))
-        spec = PhantomSpec(shape=shape, anomaly_amplitude=amp,
-                           anomaly_sparsity=sparsity, noise_sigma=noise,
-                           label_gmm=gmm)
-        vol, p_kc, _ = generate_phantom(spec, rng)
+        vol, p_kc, _ = generate_phantom(replace(
+            spec, anomaly_amplitude=float(rng.uniform(lo, hi))), rng)
         fname = f"vol_{i:04d}.volb"
         write_volume(os.path.join(out_dir, fname), vol)
         # two consecutive volumes share a patient so the patient-grouped
@@ -284,7 +254,7 @@ def cmd_phantom(args):
     try:
         shape = tuple(int(p) for p in args.shape.split(","))
     except ValueError as err:
-        raise UsageError(f"bad shape {args.shape!r}: {err}") from err
+        raise ConfigError(f"bad shape {args.shape!r}: {err}") from err
     gmm = GmmModel.from_json(args.gmm) if args.gmm else None
     records = generate_phantom_dataset(
         args.out, args.n, shape, args.seed,
@@ -327,15 +297,14 @@ def _check_run_dir(out_dir, resolved):
             not os.listdir(out_dir) or os.path.isfile(path)
             and read_bytes(path, "resolved config") == resolved):
         return
-    raise UsageError(f"{out_dir} holds another run; train writes only into "
-                     f"an absent or empty directory, or reruns the run "
-                     f"whose {RESOLVED_CONFIG} it would write")
+    raise ConfigError(f"{out_dir} holds another run; train writes only "
+                      f"into an absent or empty directory, or reruns the "
+                      f"run whose {RESOLVED_CONFIG} it would write")
 
 
 def cmd_train(args):
-    if args.parallel_folds < 1:
-        raise UsageError(f"--parallel-folds must be >= 1, "
-                         f"got {args.parallel_folds}")
+    require(is_count(args.parallel_folds), "--parallel-folds",
+            args.parallel_folds, "an integer >= 1")
     cfg = load_experiment(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     model_cfg, default_name = model_from_block(cfg.model)
@@ -377,31 +346,27 @@ def cmd_train(args):
 
 
 def _read_run_config(path):
-    """A training run's resolved config and its ModelConfig. A missing key,
-    a name or manifest that is not a string, a bad seed or a malformed
-    model block is a data error; keys nothing reads are ignored, as are
-    the model block's deleted ``in_channels`` and ``preset``, which runs
-    trained before their deletion hold."""
+    """A training run's resolved config and its ModelConfig, checked as
+    ``train`` checked them before writing: a missing key or a bad value is
+    a data error. Keys nothing reads are ignored, as are the model block's
+    deleted ``in_channels`` and ``preset``, which runs trained before their
+    deletion hold."""
     run_cfg = read_json_object(path, "resolved config")
-    missing = [k for k in ("name", "seed", "model", "manifest")
-               if k not in run_cfg]
-    if missing:
-        raise DataError(f"{path} lacks {missing}")
-    for key in ("name", "manifest"):
-        if not isinstance(run_cfg[key], str):
-            raise DataError(f"{path}: {key} must be a string, "
-                            f"got {run_cfg[key]!r}")
-    if not _is_seed(run_cfg["seed"]):
-        raise DataError(f"{path}: seed must be a non-negative integer, "
-                        f"got {run_cfg['seed']!r}")
-    model = run_cfg["model"]
-    if isinstance(model, dict):
-        model = {k: v for k, v in model.items()
-                 if k not in ("in_channels", "preset")}
     try:
-        return run_cfg, ModelConfig(**model)
-    except TypeError as err:
-        raise DataError(f"{path}: bad model block: {err}") from err
+        for key in ("name", "manifest"):
+            require(isinstance(run_cfg[key], str), key, run_cfg[key],
+                    "a string")
+        require(is_count(run_cfg["seed"], low=0), "seed", run_cfg["seed"],
+                "an integer >= 0")
+        model = run_cfg["model"]
+        if isinstance(model, dict):
+            model = {k: v for k, v in model.items()
+                     if k not in ("in_channels", "preset")}
+        return run_cfg, model_from_block(model)[0]
+    except KeyError as err:
+        raise DataError(f"{path} lacks key {err}") from err
+    except ConfigError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def _load_run_model(ckpt_path):
@@ -438,19 +403,15 @@ def _table_stages(model):
 
 def _analyze_erf(args, model, run_cfg, records, root, out_dir):
     n, threshold = args.erf_inputs, args.threshold
-    if not 0.0 <= threshold < 1.0:
-        raise UsageError(f"--threshold {threshold} outside [0, 1)")
+    require(0.0 <= threshold < 1.0, "--threshold", threshold, "in [0, 1)")
     stages = args.stages.split(",") if args.stages else _table_stages(model)
     known = model.stage_names() + ["output"]
     for s in stages:
-        if s not in known:
-            raise UsageError(f"unknown stage {s!r}; choose from {known}")
-    if len(set(stages)) != len(stages):
-        raise UsageError(f"--stages {args.stages!r} repeats a stage")
-    if not 1 <= len(stages) <= 4:
-        raise UsageError("erf reports between one and four stage columns")
-    if n < 1 or n > len(records):
-        raise UsageError(f"--erf-inputs {n} outside 1..{len(records)}")
+        require(s in known, "stage", s, f"one of {known}")
+    require(0 < len(set(stages)) == len(stages) <= 4, "erf stages", stages,
+            "one to four distinct stage columns")
+    require(1 <= n <= len(records), "--erf-inputs", n,
+            f"in 1..{len(records)}")
     xs = [make_input(_load_volume(records[i], root), model.config)
           for i in range(n)]
     radii, ratios = {s: [] for s in stages}, []
@@ -483,10 +444,7 @@ def _load_volume(record, root):
 
 def _analyze_attn(args, model, run_cfg, records, root, out_dir):
     n, k = args.attn_inputs, args.k
-    if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
-    if n < 1:
-        raise UsageError(f"--attn-inputs must be >= 1, got {n}")
+    require(is_count(n), "--attn-inputs", n, "an integer >= 1")
     per_bin = math.ceil(n / 3)
     chosen = []
     for b in _BIN_ORDER:
@@ -525,8 +483,8 @@ def _analyze_cka(args, ckpts, out_dir):
     first_model, first_cfg = _load_run_model(ckpts[0])
     records, root = _analysis_records(args, first_cfg, ckpts[0])
     n = args.cka_inputs
-    if n < 2 or n > len(records):
-        raise UsageError(f"--cka-inputs {n} outside 2..{len(records)}")
+    require(2 <= n <= len(records), "--cka-inputs", n,
+            f"in 2..{len(records)}")
     loaded = [(first_model, first_cfg)]
     for p in ckpts[1:]:
         loaded.append(_load_run_model(p))
@@ -573,9 +531,8 @@ def cmd_analyze(args):
     out_dir = args.out or os.path.dirname(os.path.abspath(ckpts[0]))
     if args.instrument == "cka":
         return _analyze_cka(args, ckpts, out_dir)
-    if len(ckpts) != 1:
-        raise UsageError(f"--instrument {args.instrument} takes exactly "
-                         f"one checkpoint")
+    require(len(ckpts) == 1, f"--checkpoint for {args.instrument}", ckpts,
+            "exactly one path")
     model, run_cfg = _load_run_model(ckpts[0])
     records, root = _analysis_records(args, run_cfg, ckpts[0])
     if args.instrument == "erf":
@@ -628,9 +585,6 @@ def cmd_report(args):
     runs = _find_runs(args.runs)
     header2 = list(TABLE2_HEADER)
     if args.ci:
-        if args.bootstrap_n < 100:
-            raise UsageError(f"--bootstrap-n must be >= 100, "
-                             f"got {args.bootstrap_n}")
         for key in METRIC_KEYS:
             header2 += [f"{key}_lo", f"{key}_hi"]
     rows2, rows3, rows_rel = [], [], []
@@ -678,7 +632,7 @@ def cmd_report(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def build_parser():
@@ -792,9 +746,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.func is None:
-            raise UsageError("no command given (see volab --help)")
+            raise ConfigError("no command given (see volab --help)")
         return args.func(args)
-    except UsageError as err:
+    except ConfigError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (DataError, ShapeError, OSError) as err:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .labels import DataError, RiskBin, risk_bin
+from .artifacts import DataError, is_count, is_real, require
+from .labels import RiskBin, risk_bin
 
 N_RELIABILITY_BINS = 10
 
@@ -206,10 +207,9 @@ def bootstrap_ci(metric_fn, pred, target, n=10000, level=0.95, seed=0):
     per resample; the first n defined rows in stream order are kept, out
     of at most 10n drawn.
     """
-    if n < 100:
-        raise ValueError(f"n = {n} too small for a percentile interval")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level {level} outside (0, 1)")
+    require(is_count(n, low=100), "bootstrap n", n,
+            "an integer >= 100 for a percentile interval")
+    require(is_real(level) and 0.0 < level < 1.0, "level", level, "in (0, 1)")
     p, t = _pair(pred, target)
     rng = np.random.default_rng(seed)
     kept = []

@@ -17,11 +17,11 @@ uniformly:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import is_count, is_real, require
 from .nn import (
     BatchNorm,
     BiLstm,
@@ -58,11 +58,6 @@ from .tensor import (
 FAMILIES = ("cnn", "hybrid_lstm", "hybrid_transformer", "vit", "swin")
 
 
-def _positive_int(value):
-    return isinstance(value, numbers.Integral) and \
-        not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Declarative architecture description; JSON round-trippable.
@@ -70,7 +65,7 @@ class ModelConfig:
     input_shape is the spatial shape the network consumes: 2 dims for 2-D
     models, 3 dims for 3-D models and for hybrids (whose first axis is the
     slice-sequence axis feeding a 2-D per-slice encoder). Every input has
-    one channel. A degenerate value raises ShapeError here, before any
+    one channel. A degenerate value raises ConfigError here, before any
     network is built.
     """
 
@@ -97,85 +92,72 @@ class ModelConfig:
     agg_dropout: float = 0.1
 
     def __post_init__(self):
-        sizes = ("input_shape", "stage_channels", "stage_strides",
-                 "patch_size", "window_size", "stage_depths")
-        for name in sizes:
-            try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-            except TypeError as err:
-                raise ShapeError(f"{name} must be a list of sizes") from err
-        counts = ("stem_channels", "embed_dim", "depth", "n_heads",
-                  "agg_hidden", "agg_depth", "agg_heads")
-        for name in sizes + counts:
+        for name in ("input_shape", "stage_channels", "stage_strides",
+                     "patch_size", "window_size", "stage_depths"):
             value = getattr(self, name)
-            if not all(map(_positive_int,
-                           value if name in sizes else (value,))):
-                raise ShapeError(f"{name} must hold integers >= 1, "
-                                 f"got {value!r}")
-        if self.family not in FAMILIES:
-            raise ShapeError(f"unknown family {self.family!r}")
-        if self.input_dims not in (2, 3) or \
-                not _positive_int(self.input_dims):
-            raise ShapeError(f"input_dims must be 2 or 3, got "
-                             f"{self.input_dims!r}")
-        if self.pad_policy not in ("strict", "pad"):
-            raise ShapeError(f"unknown pad_policy {self.pad_policy!r}")
-        if not (isinstance(self.agg_dropout, numbers.Real)
-                and 0.0 <= self.agg_dropout < 1.0):
-            raise ShapeError(f"agg_dropout must lie in [0, 1), "
-                             f"got {self.agg_dropout!r}")
+            require(isinstance(value, (list, tuple))
+                    and all(map(is_count, value)),
+                    name, value, "a list of integers >= 1")
+            object.__setattr__(self, name, tuple(value))
+        for name in ("stem_channels", "embed_dim", "depth", "n_heads",
+                     "agg_hidden", "agg_depth", "agg_heads"):
+            require(is_count(getattr(self, name)), name, getattr(self, name),
+                    "an integer >= 1")
+        require(self.family in FAMILIES, "family", self.family,
+                f"one of {FAMILIES}")
+        require(is_count(self.input_dims) and self.input_dims in (2, 3),
+                "input_dims", self.input_dims, "2 or 3")
+        require(self.pad_policy in ("strict", "pad"), "pad_policy",
+                self.pad_policy, "strict or pad")
+        require(is_real(self.agg_dropout) and 0.0 <= self.agg_dropout < 1.0,
+                "agg_dropout", self.agg_dropout, "in [0, 1)")
         # the narrowest width an MLP widens by mlp_ratio: the token width,
         # or for hybrids the encoder's output channels
         width = (((self.stem_channels,) + self.stage_channels)[-1]
                  if self.family.startswith("hybrid") else self.embed_dim)
-        if not (isinstance(self.mlp_ratio, numbers.Real)
-                and math.isfinite(width * self.mlp_ratio)
-                and width * self.mlp_ratio >= 1):
-            raise ShapeError(f"mlp_ratio must give every MLP a hidden "
-                             f"unit, got {self.mlp_ratio!r}")
+        hidden = width * self.mlp_ratio if is_real(self.mlp_ratio) else 0
+        require(is_real(hidden) and hidden >= 1, "mlp_ratio", self.mlp_ratio,
+                "a number that gives every MLP a hidden unit")
         expect = 3 if self.family.startswith("hybrid") else self.input_dims
-        if len(self.input_shape) != expect:
-            raise ShapeError(f"{self.family} expects {expect} spatial dims, "
-                             f"got {self.input_shape}")
+        require(len(self.input_shape) == expect, "input_shape",
+                self.input_shape, f"{expect} spatial sizes for {self.family}")
+        pad = self.pad_policy == "pad"
         if self.family in ("vit", "swin"):
-            if len(self.patch_size) != self.input_dims:
-                raise ShapeError("patch_size must match input_dims")
-            if self.embed_dim % self.n_heads != 0:
-                raise ShapeError(f"embed dim {self.embed_dim} not divisible "
-                                 f"by {self.n_heads} heads")
-            if self.pad_policy == "strict" and any(
-                    s % p for s, p in zip(self.input_shape, self.patch_size)):
-                raise ShapeError(f"input {self.input_shape} not divisible by "
-                                 f"patch {self.patch_size} (pad_policy=strict)")
+            require(len(self.patch_size) == self.input_dims, "patch_size",
+                    self.patch_size, "one size per input dim")
+            require(self.embed_dim % self.n_heads == 0, "embed_dim",
+                    self.embed_dim, f"divisible by {self.n_heads} heads")
+            require(pad or all(s % p == 0 for s, p in
+                               zip(self.input_shape, self.patch_size)),
+                    "input_shape", self.input_shape,
+                    f"divisible by patch {self.patch_size} (or pad_policy "
+                    f"pad)")
         if self.family == "swin":
-            if len(self.window_size) != self.input_dims:
-                raise ShapeError("window_size must match input_dims")
-            if not self.stage_depths:
-                raise ShapeError("swin needs stage_depths")
+            require(len(self.window_size) == self.input_dims, "window_size",
+                    self.window_size, "one size per input dim")
+            require(self.stage_depths, "stage_depths", self.stage_depths,
+                    "non-empty for swin")
             # each stage after the first starts with a 2x merge
-            if self.pad_policy == "strict" and any(
-                    g % 2 for grid in self.stage_grids()[:-1] for g in grid):
-                raise ShapeError(
-                    f"token grid {self.token_grid()} cannot be halved "
-                    f"before each of stages 2-{len(self.stage_depths)} "
-                    f"(pad_policy=strict)")
+            require(pad or all(g % 2 == 0 for grid in
+                               self.stage_grids()[:-1] for g in grid),
+                    "token grid", self.token_grid(),
+                    f"halvable before each of stages "
+                    f"2-{len(self.stage_depths)} (or pad_policy pad)")
         if self.family == "cnn" or self.family.startswith("hybrid"):
-            if not self.stage_channels:
-                raise ShapeError(f"{self.family} needs at least one conv "
-                                 f"stage, got empty stage_channels")
-            if len(self.stage_channels) != len(self.stage_strides):
-                raise ShapeError("stage_channels/stage_strides length "
-                                 "mismatch")
+            require(self.stage_channels, "stage_channels",
+                    self.stage_channels, f"non-empty for {self.family}")
+            require(len(self.stage_channels) == len(self.stage_strides),
+                    "stage_strides", self.stage_strides,
+                    "as long as stage_channels")
             # the stem's 2x max pool needs two voxels along each pooled
             # axis: every axis for cnn, the per-slice axes for hybrids
             pooled = self.input_shape[0 if self.family == "cnn" else 1:]
-            if min(pooled) < 2:
-                raise ShapeError(f"input {self.input_shape} is too small "
-                                 f"for the stem's 2x pool: each pooled "
-                                 f"axis needs 2 or more voxels")
-        if self.family == "hybrid_transformer" and width % self.agg_heads:
-            raise ShapeError(f"encoder width {width} not divisible by "
-                             f"{self.agg_heads} heads")
+            require(min(pooled) >= 2, "input_shape", self.input_shape,
+                    "2 or more voxels along each axis the stem's 2x pool "
+                    "halves")
+        if self.family == "hybrid_transformer":
+            require(width % self.agg_heads == 0, "encoder width", width,
+                    f"divisible by {self.agg_heads} heads")
 
     def token_grid(self):
         """Token grid after patch embedding, a partial patch padded."""

@@ -6,13 +6,13 @@ cross-validation."""
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import is_count, is_real, require
 from .models import build_model
 from .tensor import NumericError, Tensor, backward, mul, sub, tsum
 from .volume import crop_or_pad, extract_bscan, read_volume, zscore
@@ -33,25 +33,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
         for name in ("lr_max", "lr_min", "weight_decay", "eps", "min_delta"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or \
-                    isinstance(value, bool) or \
-                    not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite nonnegative "
-                                 f"number, got {value!r}")
+            require(is_real(value) and value >= 0, name, value,
+                    "a finite number >= 0")
         for name in ("physical_batch", "accumulation_steps", "max_epochs",
                      "patience"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or \
-                    isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, "
-                                 f"got {value!r}")
-        if len(self.betas) != 2 or \
-                not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ValueError(f"betas must be two values in [0, 1), "
-                             f"got {list(self.betas)}")
+            require(is_count(getattr(self, name)), name, getattr(self, name),
+                    "an integer >= 1")
+        betas = self.betas
+        require(isinstance(betas, (list, tuple)) and len(betas) == 2
+                and all(is_real(b) and 0.0 <= b < 1.0 for b in betas),
+                "betas", betas, "two numbers in [0, 1)")
+        object.__setattr__(self, "betas", tuple(betas))
 
 
 def _sse(pred, target):

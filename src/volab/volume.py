@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from volab.artifacts import DataError, Packer, Unpacker
+from volab.artifacts import (DataError, Packer, Unpacker, is_count, is_real,
+                             require)
 from volab.labels import GmmModel, gmm_posterior
 
 
@@ -157,10 +158,16 @@ class PhantomSpec:
     label_gmm: GmmModel = field(default_factory=lambda: default_phantom_gmm())
 
     def __post_init__(self):
-        if not 0.0 < self.anomaly_sparsity < 1.0:
-            raise DataError(f"sparsity {self.anomaly_sparsity} outside (0, 1)")
-        if self.anomaly_amplitude < 0 or self.noise_sigma < 0:
-            raise DataError("amplitude and noise must be nonnegative")
+        require(isinstance(self.shape, (list, tuple)) and len(self.shape) == 3
+                and all(map(is_count, self.shape)), "shape", self.shape,
+                "three integers >= 1")
+        for name in ("anomaly_amplitude", "noise_sigma"):
+            value = getattr(self, name)
+            require(is_real(value) and value >= 0, name, value,
+                    "a finite number >= 0")
+        require(is_real(self.anomaly_sparsity)
+                and 0.0 < self.anomaly_sparsity < 1.0, "anomaly_sparsity",
+                self.anomaly_sparsity, "in (0, 1)")
 
 
 def default_phantom_gmm() -> GmmModel:

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ import pytest
 from volab import cli
 from volab.analysis import attention_distance_stats, cka_matrix, \
     read_activation_dump, write_activation_dump
+from volab.artifacts import ConfigError, DataError
 from volab.labels import CohortRecord, read_manifest, \
     stratified_patient_split, write_manifest
 from volab.metrics import auroc, brier_and_reliability, regression_metrics, \
     stratified_sens_spec
-from volab.models import ModelConfig, ModelInstance, build_model
+from volab.models import ModelConfig, ModelInstance, build_model, \
+    desk_config
 from volab.tensor import NumericError
 from volab.training import TrainConfig, cross_validate, make_input, \
     samples_from_records
@@ -421,6 +424,27 @@ class TestTrain:
                       max_epochs=1)
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert not (tmp_path / "r" / "resolved_config.json").exists()
+
+    def test_train_block_seed_exits_one_before_writing(self, workdir,
+                                                      tmp_path, capsys):
+        # the init seed derives from the master seed; a train block's own
+        # seed would be overwritten, so it is refused
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", str(workdir / "data" / "manifest.csv"),
+                      "cnn3d", 1, n_folds=3, max_epochs=1)
+        raw = json.loads(cfg.read_text())
+        raw["train"]["seed"] = 5
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert "train.seed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["exp.json"]
+
+    @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+    def test_experiment_config_refuses_bad_seed(self, seed):
+        with pytest.raises(ConfigError):
+            cli.ExperimentConfig(seed=seed, out_dir="r",
+                                 dataset={"manifest": "m.csv"},
+                                 model={"preset": "cnn3d"})
 
     def test_missing_dataset_exits_two(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -858,6 +882,16 @@ class TestDamagedRun:
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(out)]) == 2
         assert not out.exists()
+
+    def test_indivisible_swin_window_is_a_data_error(self, tmp_path):
+        """A resolved swin config that ``train`` would have refused: the
+        window (3, 3, 3) does not divide the (8, 8, 8) stage-1 grid."""
+        model = asdict(replace(desk_config("swin3d"), window_size=(3, 3, 3)))
+        path = tmp_path / "resolved_config.json"
+        path.write_text(json.dumps({"name": "swin3d", "seed": 1,
+                                    "manifest": "m.csv", "model": model}))
+        with pytest.raises(DataError, match="divisible by window"):
+            cli._read_run_config(str(path))
 
     def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,
                                             capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import as_float64, shifted_window_attention_loops
 from volab import nn
 from volab.analysis import attention_distances
-from volab.artifacts import DataError
+from volab.artifacts import ConfigError, DataError
 from volab.models import (
     ModelConfig,
     build_model,
@@ -110,7 +110,7 @@ class TestTokenGeometry:
         assert out.shape == (1, 14, 14, 10, 192)
 
     def test_patch_divisibility_strict_vs_pad(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             ModelConfig(family="vit", input_dims=2, input_shape=(30, 32),
                         patch_size=(8, 8), embed_dim=32, n_heads=2)
         cfg = ModelConfig(family="vit", input_dims=2, input_shape=(30, 32),

@@ -1,9 +1,12 @@
 """Volume pipeline tests: geometry, normalization, phantoms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from volab.artifacts import ConfigError
 from volab.labels import DataError
 from volab.volume import (PhantomSpec, Volume, crop_or_pad,
                           default_phantom_gmm, extract_bscan,
@@ -210,8 +213,21 @@ class TestPhantom:
         assert 0.15 <= frac <= 0.25
 
     def test_bad_sparsity_raises(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             PhantomSpec(anomaly_sparsity=0.0)
+
+    @pytest.mark.parametrize("change", [
+        {"noise_sigma": math.nan}, {"noise_sigma": math.inf},
+        {"anomaly_amplitude": math.nan}, {"anomaly_amplitude": math.inf},
+        {"anomaly_amplitude": -0.5}, {"anomaly_sparsity": math.nan},
+        {"shape": (0, 32, 32)}, {"shape": (32, 32)}, {"shape": (32, 32.0, 32)},
+        {"noise_sigma": True},
+    ], ids=["nan_noise", "inf_noise", "nan_amplitude", "inf_amplitude",
+            "negative_amplitude", "nan_sparsity", "zero_axis", "two_axes",
+            "float_axis", "bool_noise"])
+    def test_degenerate_spec_raises_config_error(self, change):
+        with pytest.raises(ConfigError):
+            PhantomSpec(**change)
 
     def test_default_gmm_valid(self):
         m = default_phantom_gmm()
