@@ -136,38 +136,28 @@ def _cnn_layers(cfg, n_stages):
     return layers
 
 
-def _stage_index(stage, prefix, count):
-    if stage.startswith(prefix):
-        try:
-            k = int(stage[len(prefix):])
-        except ValueError:
-            return None
-        if 1 <= k <= count:
-            return k
-    return None
-
-
-def _swin_axis_extent(n, patch, window, grids, depths, upto):
-    """Reachable voxel extent along one axis, of ``grids`` tokens per
-    stage, for the center token of swin stage ``upto``: backward interval
-    propagation through the stage's blocks, the merges, and the patch
-    embedding. Windows are anchored to the truncated shifted partition,
-    so reach saturates instead of growing like a sliding kernel."""
-    shift = window // 2
+def _swin_axis_extent(cfg, axis, upto):
+    """Reachable voxel extent along one axis for the center token of swin
+    stage ``upto``: backward interval propagation through the stage's
+    blocks, the merges, and the patch embedding, over the stages' clamped
+    windows and shifts. Windows are anchored to the truncated shifted
+    partition, so reach saturates instead of growing like a sliding
+    kernel."""
+    n, patch = cfg.input_shape[axis], cfg.patch_size[axis]
+    stages = [(g[axis], w[axis], sh[axis])
+              for g, w, sh in cfg.stage_windows()]
     jump = patch * 2 ** (upto - 1)
-    g_tap = grids[upto - 1]
-    cents = np.arange(g_tap) * jump + (jump - 1) / 2.0
+    cents = np.arange(stages[upto - 1][0]) * jump + (jump - 1) / 2.0
     q = int(np.argmin(np.abs(cents - (n - 1) / 2.0)))
     lo = hi = q
     for s in range(upto, 0, -1):
-        g = grids[s - 1]
-        for b in reversed(range(depths[s - 1])):
-            w_eff = min(window, g)
-            s_eff = 0 if (w_eff >= g or b % 2 == 0) else shift
-            lo = max(0, (lo - s_eff) // w_eff * w_eff + s_eff)
-            hi = min(g - 1, (hi - s_eff) // w_eff * w_eff + s_eff + w_eff - 1)
+        g, w, odd_shift = stages[s - 1]
+        for b in reversed(range(cfg.stage_depths[s - 1])):
+            shift = odd_shift if b % 2 else 0
+            lo = max(0, (lo - shift) // w * w + shift)
+            hi = min(g - 1, (hi - shift) // w * w + shift + w - 1)
         if s > 1:
-            lo, hi = 2 * lo, min(2 * hi + 1, grids[s - 2] - 1)
+            lo, hi = 2 * lo, min(2 * hi + 1, stages[s - 2][0] - 1)
     v_lo = lo * patch
     v_hi = min(hi * patch + patch - 1, n - 1)
     return v_hi - v_lo + 1
@@ -177,31 +167,23 @@ def theoretical_extents(cfg, stage):
     """Per-axis voxel extents reachable by the tap's center unit, clipped
     to the input."""
     shape = np.asarray(cfg.input_shape, dtype=np.int64)
+    names = cfg.stage_names()
     if stage == "output":
         return shape.copy()
+    if stage not in names:
+        raise ShapeError(f"unknown stage {stage!r} for family "
+                         f"{cfg.family!r}")
+    k = names.index(stage)
     if cfg.family == "cnn":
-        k = _stage_index(stage, "stage", len(cfg.stage_channels))
-        if k is not None:
-            ext = conv_extent(_cnn_layers(cfg, k))
-            return np.minimum(ext, shape)
-    elif cfg.family == "vit":
-        if _stage_index(stage, "block", cfg.depth) is not None:
-            return shape.copy()  # every token attends to every token
-    elif cfg.family == "swin":
-        if stage == "patch_embed":
-            return np.minimum(np.asarray(cfg.patch_size), shape)
-        k = _stage_index(stage, "stage", len(cfg.stage_depths))
-        if k is not None:
-            axes = zip(cfg.input_shape, cfg.patch_size, cfg.window_size,
-                       zip(*cfg.stage_grids()))
-            return np.array([_swin_axis_extent(*axis, cfg.stage_depths, k)
-                             for axis in axes], dtype=np.int64)
-    else:  # hybrids: per-slice 2-D encoder ending in GAP, then aggregator
-        if stage == "encoder":
-            return np.array([1, shape[1], shape[2]], dtype=np.int64)
-        if stage == "aggregator":
-            return shape.copy()
-    raise ShapeError(f"unknown stage {stage!r} for family {cfg.family!r}")
+        return np.minimum(conv_extent(_cnn_layers(cfg, k + 1)), shape)
+    if cfg.family == "swin" and k == 0:  # patch_embed
+        return np.minimum(np.asarray(cfg.patch_size), shape)
+    if cfg.family == "swin":
+        return np.array([_swin_axis_extent(cfg, axis, k)
+                         for axis in range(cfg.input_dims)], dtype=np.int64)
+    if stage == "encoder":  # hybrids: a per-slice 2-D encoder ending in GAP
+        return np.array([1, shape[1], shape[2]], dtype=np.int64)
+    return shape.copy()  # vit blocks and the hybrid aggregator see it all
 
 
 def theoretical_rf(cfg, stage):
@@ -354,7 +336,8 @@ def _check_activations(layers):
 def write_activation_dump(path, model_id, layers):
     """magic, model id, layer count, then per layer (id, N, D, f32 row-major
     data). The float32 values are checked, so a value beyond the float32
-    range is refused instead of written as inf."""
+    range is refused instead of written as inf. Returns the float32
+    layers written, equal to what ``read_activation_dump`` reads back."""
     with np.errstate(over="ignore"):
         layers = {lid: np.asarray(arr, dtype="<f4")
                   for lid, arr in layers.items()}
@@ -367,6 +350,7 @@ def write_activation_dump(path, model_id, layers):
         out.fields("2I", *np.shape(arr))
         out.array(arr)
     out.save(path)
+    return layers
 
 
 def read_activation_dump(path):

@@ -28,7 +28,6 @@ from .analysis import (
     attention_distance_stats,
     cka_matrix,
     erf_map,
-    read_activation_dump,
     write_activation_dump,
 )
 from .artifacts import (
@@ -193,12 +192,10 @@ def model_from_block(block):
         except TypeError as err:
             raise ConfigError(f"bad model block: {err}") from err
         name = f"{cfg.family}{cfg.input_dims}d"
-    grids = cfg.stage_grids() if cfg.family == "swin" else []
-    for s, grid in enumerate(grids, start=1):
-        require(all(g % min(w, g) == 0
-                    for g, w in zip(grid, cfg.window_size)),
-                f"stage {s} grid", grid,
-                f"divisible by window {cfg.window_size}")
+    stages = cfg.stage_windows() if cfg.family == "swin" else []
+    for s, (grid, window, _) in enumerate(stages, start=1):
+        require(all(g % w == 0 for g, w in zip(grid, window)),
+                f"stage {s} grid", grid, f"divisible by window {window}")
     return cfg, name
 
 
@@ -348,9 +345,8 @@ def cmd_train(args):
 def _read_run_config(path):
     """A training run's resolved config and its ModelConfig, checked as
     ``train`` checked them before writing: a missing key or a bad value is
-    a data error. Keys nothing reads are ignored, as are the model block's
-    deleted ``in_channels`` and ``preset``, which runs trained before their
-    deletion hold."""
+    a data error. Top-level keys nothing reads are ignored; the model
+    block goes through ``model_from_block`` as it is."""
     run_cfg = read_json_object(path, "resolved config")
     try:
         for key in ("name", "manifest"):
@@ -358,11 +354,7 @@ def _read_run_config(path):
                     "a string")
         require(is_count(run_cfg["seed"], low=0), "seed", run_cfg["seed"],
                 "an integer >= 0")
-        model = run_cfg["model"]
-        if isinstance(model, dict):
-            model = {k: v for k, v in model.items()
-                     if k not in ("in_channels", "preset")}
-        return run_cfg, model_from_block(model)[0]
+        return run_cfg, model_from_block(run_cfg["model"])[0]
     except KeyError as err:
         raise DataError(f"{path} lacks key {err}") from err
     except ConfigError as err:
@@ -392,7 +384,7 @@ def _table_stages(model):
     """Stage taps reported in the four stage columns: the patch embedding
     is not a stage, and models with more than four taps report four evenly
     spaced ones."""
-    names = model.stage_names()
+    names = model.config.stage_names()
     if names and names[0] == "patch_embed":
         names = names[1:]
     if len(names) > 4:
@@ -405,7 +397,7 @@ def _analyze_erf(args, model, run_cfg, records, root, out_dir):
     n, threshold = args.erf_inputs, args.threshold
     require(0.0 <= threshold < 1.0, "--threshold", threshold, "in [0, 1)")
     stages = args.stages.split(",") if args.stages else _table_stages(model)
-    known = model.stage_names() + ["output"]
+    known = model.config.stage_names() + ["output"]
     for s in stages:
         require(s in known, "stage", s, f"one of {known}")
     require(0 < len(set(stages)) == len(stages) <= 4, "erf stages", stages,
@@ -492,7 +484,7 @@ def _analyze_cka(args, ckpts, out_dir):
                     cfg["name"] == first_cfg["name"]
                     for _, cfg in loaded)
     os.makedirs(out_dir, exist_ok=True)
-    dump_paths = []
+    dumps = []
     for idx, ((model, run_cfg), ckpt) in enumerate(zip(loaded, ckpts)):
         x = np.stack(
             [make_input(_load_volume(records[i], root), model.config)
@@ -507,11 +499,9 @@ def _analyze_cka(args, ckpts, out_dir):
                   for taps in zip(*chunks)}
         stem = os.path.splitext(os.path.basename(ckpt))[0]
         path = os.path.join(out_dir, f"cka_{idx:02d}_{stem}.admp")
-        write_activation_dump(path, run_cfg["name"], layers)
-        dump_paths.append(path)
-    # recompute from the dumps on disk so the CSV matches the exported
-    # activations exactly
-    dumps = [read_activation_dump(p)[1] for p in dump_paths]
+        # the matrix comes from the float32 values written, so the CSV
+        # matches the exported activations exactly
+        dumps.append(write_activation_dump(path, run_cfg["name"], layers))
     if same_arch:
         ids, mat = cka_matrix(dumps)
     else:

@@ -5,8 +5,8 @@ Every family shares one contract: ``build_model(cfg, seed)`` gives a
 ``ModelInstance`` whose ``forward`` returns a probability in [0, 1]
 (sigmoid head) plus every per-stage activation tap and every attention
 record, with token centroids in voxel units. Stage taps follow a fixed
-per-family protocol so the analysis instruments can address layers
-uniformly:
+per-family protocol, named by ``ModelConfig.stage_names``, so the
+analysis instruments can address layers uniformly:
 
   cnn                 stage1..stage4 (the four residual blocks)
   hybrid_*            encoder, aggregator
@@ -173,6 +173,31 @@ class ModelConfig:
         for _ in self.stage_depths[1:]:
             grids.append(tuple(-(-g // 2) for g in grids[-1]))
         return grids
+
+    def stage_windows(self):
+        """(grid, window, shift) of each swin stage. The window is clamped
+        per axis to the grid; the shift, half the window, is what the
+        stage's odd blocks roll by, and is dropped along any axis where
+        the window spans the grid (shifting a full-span window changes
+        no partition)."""
+        stages = []
+        for grid in self.stage_grids():
+            window = tuple(min(w, g) for w, g in zip(self.window_size, grid))
+            shift = tuple(w // 2 if w < g else 0
+                          for w, g in zip(window, grid))
+            stages.append((grid, window, shift))
+        return stages
+
+    def stage_names(self):
+        """Names of the stage taps every forward returns, in order."""
+        if self.family == "cnn":
+            return [f"stage{i + 1}" for i in range(len(self.stage_channels))]
+        if self.family == "vit":
+            return [f"block{i + 1}" for i in range(self.depth)]
+        if self.family == "swin":
+            return ["patch_embed"] + [f"stage{s + 1}" for s in
+                                      range(len(self.stage_depths))]
+        return ["encoder", "aggregator"]
 
 
 def desk_config(name):
@@ -365,9 +390,10 @@ def class_token_encode(tokens, cls, pos, blocks, norm, centroids, names,
 class ModelInstance(Module):
     """A family network: its config, the input check and the forward
     protocol. Each family builds its layers and a ``head`` on its
-    features, implements ``_forward(x, rng)`` returning (features, stage
-    taps, attention records), and names its stage taps in
-    ``stage_names``."""
+    features and implements ``_forward(x, rng)`` returning (features,
+    stage taps, attention records); the taps are named, in order, by
+    ``config.stage_names()``. Geometry the input shape fixes (swin
+    windows, masks and centroids) is built with the layers."""
 
     def __init__(self, config):
         super().__init__()
@@ -428,14 +454,11 @@ class CnnNet(ModelInstance):
                                      cfg.stage_channels, cfg.stage_strides)
         self.head = Linear(rng, self.backbone.out_channels, 1)
 
-    def stage_names(self):
-        return [f"stage{i + 1}"
-                for i in range(len(self.config.stage_channels))]
-
     def _forward(self, x, rng):
         feat, taps = self.backbone(x)
+        names = self.config.stage_names()
         return feat, [StageTap(name, "grid", t)
-                      for name, t in zip(self.stage_names(), taps)], []
+                      for name, t in zip(names, taps)], []
 
 
 class VitNet(ModelInstance):
@@ -452,14 +475,11 @@ class VitNet(ModelInstance):
         self.norm = LayerNorm(d)
         self.head = Linear(rng, d, 1)
 
-    def stage_names(self):
-        return [f"block{i + 1}" for i in range(self.config.depth)]
-
     def _forward(self, x, rng):
         tokens, grid = self.embed(x)
         return class_token_encode(tokens, self.cls, self.pos, self.blocks,
                                   self.norm, self.embed.centroids(grid),
-                                  self.stage_names(), rng)
+                                  self.config.stage_names(), rng)
 
 
 def merge_centroids(cgrid):
@@ -481,47 +501,51 @@ class SwinNet(ModelInstance):
         d = cfg.embed_dim
         self.embed = PatchEmbed(rng, cfg.patch_size, d)
         self.embed_norm = LayerNorm(d)
-        shift = tuple(w // 2 for w in cfg.window_size)
-        self.stages, self.merges = [], []
-        for s, depth in enumerate(cfg.stage_depths):
+        # voxel centroids (*grid, nd) of each stage's tokens
+        cgrid = self.embed.centroids(cfg.token_grid()).reshape(
+            cfg.token_grid() + (nd,))
+        self.stages, self.merges, self._cgrids = [], [], []
+        for s, (depth, (grid, window, shift)) in enumerate(
+                zip(cfg.stage_depths, cfg.stage_windows())):
+            if s:
+                cgrid = merge_centroids(cgrid)
+            cgrid.flags.writeable = False
+            self._cgrids.append(cgrid)
             dim_s = d * (2 ** s)
             # even blocks use plain windows, odd blocks shifted ones
             self.stages += [
-                SwinBlock(rng, dim_s, cfg.n_heads * (2 ** s), cfg.window_size,
-                          shift if b % 2 == 1 else (0,) * nd,
-                          mlp_ratio=cfg.mlp_ratio) for b in range(depth)]
+                SwinBlock(rng, dim_s, cfg.n_heads * (2 ** s), grid, window,
+                          shift if b % 2 == 1 else (0,) * nd, cgrid,
+                          radix=cfg.window_size, mlp_ratio=cfg.mlp_ratio)
+                for b in range(depth)]
             if s < len(cfg.stage_depths) - 1:
                 self.merges.append(PatchMerge(rng, dim_s, nd))
         final_dim = d * (2 ** (len(cfg.stage_depths) - 1))
         self.norm = LayerNorm(final_dim)
         self.head = Linear(rng, final_dim, 1)
 
-    def stage_names(self):
-        return ["patch_embed"] + [f"stage{s + 1}" for s in
-                                  range(len(self.config.stage_depths))]
-
     def _forward(self, x, rng):
         n = x.shape[0]
         tokens, grid = self.embed(x)
         t = self.embed_norm(tokens)
-        cgrid = self.embed.centroids(grid).reshape(grid + (len(grid),))
-        records = []
+        nd = len(grid)
         stages = [StageTap("patch_embed", "tokens", t,
-                           centroids=cgrid.reshape(-1, len(grid)))]
+                           centroids=self._cgrids[0].reshape(-1, nd))]
+        records = []
         t = reshape(t, (n,) + grid + (self.config.embed_dim,))
         blocks = iter(self.stages)
         for s, depth in enumerate(self.config.stage_depths):
+            if s:
+                t, _ = self.merges[s - 1](t)
             for b in range(depth):
-                t, attn, cents = next(blocks)(t, cgrid)
+                blk = next(blocks)
+                t, attn = blk(t)
                 records.append(AttentionRecord(
                     layer=f"stage{s + 1}.block{b + 1}", attn=attn,
-                    centroids=cents))
+                    centroids=blk.centroids))
             stages.append(StageTap(
                 f"stage{s + 1}", "tokens", reshape(t, (n, -1, t.shape[-1])),
-                centroids=cgrid.reshape(-1, cgrid.shape[-1])))
-            if s < len(self.merges):
-                t, grid = self.merges[s](t)
-                cgrid = merge_centroids(cgrid)
+                centroids=self._cgrids[s].reshape(-1, nd)))
         t = self.norm(reshape(t, (n, -1, t.shape[-1])))
         return mean(t, axis=1), stages, records
 
@@ -549,9 +573,6 @@ class HybridNet(ModelInstance):
             self.agg_norm = LayerNorm(f)
             agg_out = f
         self.head = Linear(rng, agg_out, 1)
-
-    def stage_names(self):
-        return ["encoder", "aggregator"]
 
     def _forward(self, x, rng):
         lstm = self.config.family == "hybrid_lstm"

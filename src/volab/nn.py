@@ -363,69 +363,56 @@ class SwinBlock(TransformerBlock):
     """The pre-norm block with window attention and an optional cyclic
     shift (Liu et al., arXiv:2103.14030), plus a relative-position bias.
 
-    Operates on token grids shaped (N, g0..gk, D). The window is clamped
-    per axis to the grid size, and the shift is dropped along any axis
-    where the clamped window covers the whole grid (shifting a full-span
-    window is a no-op partition-wise).
+    A block is built for one token grid, shaped (N, *grid, D), with its
+    window already clamped to that grid (``ModelConfig.stage_windows``).
+    The bias table is sized for ``radix``, the configured window, which
+    a clamped window indexes into. The shift mask, the bias index and
+    ``centroids`` (the voxel centroids (*grid, nd) of the grid's tokens,
+    rolled and partitioned into windows exactly like the tokens, so each
+    attention row aligns with its window's voxel positions) are fixed
+    arrays built here, so a forward does tensor work alone.
     """
 
-    def __init__(self, rng, dim, n_heads, window, shift, mlp_ratio=4.0):
+    def __init__(self, rng, dim, n_heads, grid, window, shift, centroids,
+                 radix, mlp_ratio=4.0):
         super().__init__(rng, dim, n_heads, mlp_ratio=mlp_ratio)
         self.window = tuple(int(w) for w in window)
         self.shift = tuple(int(s) for s in shift)
-        table_rows = math.prod(2 * w - 1 for w in self.window)
+        table_rows = math.prod(2 * w - 1 for w in radix)
         self.rel_bias = _normal(rng, (table_rows, self.n_heads), 0.02)
-        self._masks = {}
+        self._index = relative_position_index(self.window, radix).reshape(-1)
+        self._mask = None
+        if any(self.shift):
+            base = shift_window_mask(grid, self.window, self.shift)
+            self._mask = np.ascontiguousarray(np.broadcast_to(
+                base[:, None], (base.shape[0], self.n_heads)
+                + base.shape[1:]))
+            centroids = np.roll(centroids, tuple(-s for s in self.shift),
+                                axis=tuple(range(len(grid))))
+        self.centroids = _partition_np(centroids, self.window)
+        self.centroids.flags.writeable = False
 
-    def _effective(self, grid):
-        window = tuple(min(w, g) for w, g in zip(self.window, grid))
-        shift = tuple(0 if win >= g else s
-                      for s, win, g in zip(self.shift, window, grid))
-        return window, shift
-
-    def _bias(self, window):
-        index = relative_position_index(window, radix=self.window)
-        l = index.shape[0]
-        rows = take(self.rel_bias, index.reshape(-1))
-        rows = reshape(rows, (l, l, self.n_heads))
-        return transpose(rows, (2, 0, 1))
-
-    def __call__(self, x, centroid_grid):
-        """(x, attn, centroids): the block output, the attention map and
-        ``centroid_grid`` (*grid, nd) partitioned into windows exactly
-        like the tokens, so each attention row aligns with its window's
-        voxel positions."""
+    def __call__(self, x):
+        """(x, attn): the block output and the attention map, one row
+        per token of each window."""
         n = x.shape[0]
-        grid = x.shape[1:-1]
-        window, shift = self._effective(grid)
+        axes = tuple(range(1, x.ndim - 1))
         h = self.norm1(x)
-        if any(shift):
-            h = roll(h, tuple(-s for s in shift),
-                     tuple(range(1, 1 + len(grid))))
-        windows, counts = window_partition(h, window)
-        groups = math.prod(counts)
-        bias = self._bias(window)
-        group_mask = None
-        if any(shift):
-            key = (grid, window, shift)
-            if key not in self._masks:
-                base = shift_window_mask(grid, window, shift)
-                self._masks[key] = np.ascontiguousarray(np.broadcast_to(
-                    base[:, None], (groups, self.n_heads) + base.shape[1:]))
-            group_mask = self._masks[key]
+        if any(self.shift):
+            h = roll(h, tuple(-s for s in self.shift), axes)
+        windows, counts = window_partition(h, self.window)
+        l = windows.shape[1]
+        bias = transpose(reshape(take(self.rel_bias, self._index),
+                                 (l, l, self.n_heads)), (2, 0, 1))
         out, attn = multi_head_attention(windows, self.qkv, self.proj,
                                          self.n_heads, bias=bias,
-                                         group_mask=group_mask,
-                                         groups=groups)
-        out = window_unpartition(out, window, counts, n)
-        if any(shift):
-            out = roll(out, shift, tuple(range(1, 1 + len(grid))))
+                                         group_mask=self._mask,
+                                         groups=math.prod(counts))
+        out = window_unpartition(out, self.window, counts, n)
+        if any(self.shift):
+            out = roll(out, self.shift, axes)
         x = add(x, out)
-        x = add(x, self.mlp(self.norm2(x)))
-        if any(shift):
-            centroid_grid = np.roll(centroid_grid, tuple(-s for s in shift),
-                                    axis=tuple(range(len(grid))))
-        return x, attn, _partition_np(centroid_grid, window)
+        return add(x, self.mlp(self.norm2(x))), attn
 
 
 class PatchEmbed(Module):

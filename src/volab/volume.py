@@ -25,11 +25,14 @@ class Volume:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise DataError(f"volume must be 3-D, got shape {self.data.shape}")
+        if self.data.ndim != 3 or 0 in self.data.shape:
+            raise DataError(f"volume must be 3-D with no empty axis, got "
+                            f"shape {self.data.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise DataError(f"bad spacing {self.spacing}")
+        if len(self.spacing) != 3 or not all(is_real(s) and s > 0
+                                             for s in self.spacing):
+            raise DataError(f"bad spacing {self.spacing}: each must be "
+                            f"finite and > 0")
 
     @property
     def shape(self):
@@ -59,6 +62,8 @@ def read_volume(path) -> Volume:
         raise DataError(f"{path}: unsupported volume version {version}")
     data = src.array(header[:3])
     src.finish()
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite voxel values")
     return Volume(data, header[3:])
 
 
@@ -117,7 +122,7 @@ def zscore(volume: Volume, eps=1e-8) -> Volume:
     """Instance z-score over all voxels (population statistics)."""
     mu = float(volume.data.mean())
     sd = float(volume.data.std())
-    if sd <= eps:
+    if not sd > eps:
         raise DataError(f"degenerate volume: intensity std {sd} <= {eps}")
     return Volume((volume.data - mu) / sd, volume.spacing)
 

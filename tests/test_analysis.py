@@ -164,7 +164,7 @@ class TestErfMap:
         model = build_model(cfg, seed=11)
         x = np.random.default_rng(12).normal(
             size=(1,) + cfg.input_shape).astype(np.float32)
-        taps = model.stage_names() + ["output"]
+        taps = cfg.stage_names() + ["output"]
         maps = erf_map(model, x, taps, threshold=0.05)
         assert len(maps) == len(taps)
         for tap, got in zip(taps, maps):

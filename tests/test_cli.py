@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -392,6 +393,32 @@ class TestTrain:
         _write_config(cfg, "r", "manifest.csv", "cnn3d", 1, n_folds=3,
                       max_epochs=1)
         assert cli.main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("case", ["nan_voxel", "zero_axis",
+                                      "nan_spacing"])
+    def test_corrupt_volume_exits_two_before_writing(self, workdir,
+                                                     tmp_path, case):
+        """A VOLB file that frames correctly but holds a non-finite voxel,
+        an empty axis or a non-finite spacing is a data error, raised
+        before train writes anything."""
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        dims, spacing = [32, 32, 32], [0.5, 0.5, 0.5]
+        if case == "zero_axis":
+            dims[1] = 0
+        if case == "nan_spacing":
+            spacing[2] = math.nan
+        voxels = np.random.default_rng(0).normal(size=dims).astype("<f4")
+        if case == "nan_voxel":
+            voxels[3, 4, 5] = np.nan
+        (data / "vol_0000.volb").write_bytes(
+            b"VOLB" + struct.pack("<B3I3f", 1, *dims, *spacing)
+            + voxels.tobytes())
+        cfg = tmp_path / "exp.json"
+        _write_config(cfg, "r", "data/manifest.csv", "cnn3d", 1, n_folds=3,
+                      max_epochs=1)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "r").exists()
 
     def test_non_integer_age_exits_two(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -896,21 +923,32 @@ class TestDamagedRun:
     def test_keys_nothing_reads_are_ignored(self, workdir, tmp_path,
                                             capsys):
         """A run written while configs still held analysis settings and a
-        target, and model blocks a preset and an input channel count,
-        analyzes with the flag defaults and reports as before."""
+        target analyzes with the flag defaults and reports as before."""
         run = tmp_path / "run"
         shutil.copytree(workdir / "runs" / "cnn3d", run)
         path = run / "resolved_config.json"
         cfg = json.loads(path.read_text())
         cfg.update(analysis={"erf_inputs": 1, "threshold": 0.5},
                    target="pkc")
-        cfg["model"].update(preset="desk", in_channels=1)
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert self._analyze_erf(workdir, tmp_path, run) == 0
         assert "over 2 inputs" in capsys.readouterr().out
         assert cli.main(["report", "--runs", str(run), "--out",
                          str(tmp_path / "rep")]) == 0
+
+    def test_model_key_modelconfig_lacks_exits_two(self, workdir, tmp_path):
+        """The resolved model block goes through the same check train
+        runs: a key ModelConfig does not have is a data error."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "runs" / "cnn3d", run)
+        path = run / "resolved_config.json"
+        cfg = json.loads(path.read_text())
+        cfg["model"]["in_channels"] = 1
+        path.write_text(json.dumps(cfg))
+        assert self._analyze_erf(workdir, tmp_path, run) == 2
+        assert cli.main(["report", "--runs", str(run), "--out",
+                         str(tmp_path / "rep")]) == 2
 
 
 class TestHelpGolden:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import as_float64, shifted_window_attention_loops
-from volab import nn
+from volab import models, nn
 from volab.analysis import attention_distances
 from volab.artifacts import ConfigError, DataError
 from volab.models import (
@@ -50,6 +50,32 @@ from volab.tensor import (
 
 PRESET_NAMES = ["cnn2d", "cnn3d", "vit2d", "vit3d", "swin2d", "swin3d",
                 "hybrid_lstm", "hybrid_transformer"]
+
+SWIN_CONFIGS = {
+    "swin2d": desk_config("swin2d"),
+    "swin3d": desk_config("swin3d"),
+    # grid (4, 4, 3) after a padded patch row; the merge pads the odd axis
+    "swin3d_padded": ModelConfig(
+        family="swin", input_dims=3, input_shape=(30, 32, 24),
+        patch_size=(8, 8, 8), window_size=(4, 4, 4), stage_depths=(1, 1),
+        embed_dim=12, n_heads=2, pad_policy="pad"),
+}
+# (grid, window, shift) of every block in order: the window clamped to the
+# grid per axis; on odd blocks a shift of half the window, dropped along
+# any axis the window spans
+BLOCK_WINDOWS = {
+    "swin2d": [((16, 16), (4, 4), (0, 0)), ((16, 16), (4, 4), (2, 2)),
+               ((8, 8), (4, 4), (0, 0)), ((8, 8), (4, 4), (2, 2)),
+               ((4, 4), (4, 4), (0, 0)), ((2, 2), (2, 2), (0, 0))],
+    "swin3d": [((8, 8, 8), (4, 4, 4), (0, 0, 0)),
+               ((8, 8, 8), (4, 4, 4), (2, 2, 2)),
+               ((4, 4, 4), (4, 4, 4), (0, 0, 0)),
+               ((4, 4, 4), (4, 4, 4), (0, 0, 0)),
+               ((2, 2, 2), (2, 2, 2), (0, 0, 0)),
+               ((1, 1, 1), (1, 1, 1), (0, 0, 0))],
+    "swin3d_padded": [((4, 4, 3), (4, 4, 3), (0, 0, 0)),
+                      ((2, 2, 2), (2, 2, 2), (0, 0, 0))],
+}
 
 
 def _rng(seed=0):
@@ -212,13 +238,14 @@ class TestWindowMechanics:
 
     def test_swin_block_attention_rows_sum_to_one(self):
         rng = _rng(5)
-        blk = nn.SwinBlock(rng, 12, 2, window=(4, 4), shift=(2, 2))
+        blk = nn.SwinBlock(rng, 12, 2, (8, 8), window=(4, 4), shift=(2, 2),
+                           centroids=_index_grid((8, 8)), radix=(4, 4))
         blk.set_training(False)
         x = Tensor(rng.normal(size=(1, 8, 8, 12)).astype(np.float32))
-        _, attn, cents = blk(x, _index_grid((8, 8)))
+        _, attn = blk(x)
         assert attn.shape == (4, 2, 16, 16)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
-        assert cents.shape == (4, 16, 2)
+        assert blk.centroids.shape == (4, 16, 2)
 
     def test_relative_position_index_radix(self):
         # unclamped windows index their own table; a clamped (2, 3) window
@@ -230,13 +257,56 @@ class TestWindowMechanics:
         assert np.array_equal(clamped, full[np.ix_(keep, keep)])
 
     def test_window_clamps_to_small_grid(self):
-        rng = _rng(6)
-        blk = nn.SwinBlock(rng, 8, 2, window=(4, 4), shift=(2, 2))
-        x = Tensor(rng.normal(size=(1, 2, 2, 8)).astype(np.float32))
-        out, attn, _ = blk(x, _index_grid((2, 2)))
+        cfg = ModelConfig(family="swin", input_dims=2, input_shape=(8, 8),
+                          patch_size=(4, 4), embed_dim=8, n_heads=2,
+                          window_size=(4, 4), stage_depths=(2,))
+        [(grid, window, shift)] = cfg.stage_windows()
         # window covers the whole grid, shift becomes a no-op
+        assert (grid, window, shift) == ((2, 2), (2, 2), (0, 0))
+        rng = _rng(6)
+        blk = nn.SwinBlock(rng, 8, 2, grid, window, shift, _index_grid(grid),
+                           radix=cfg.window_size)
+        x = Tensor(rng.normal(size=(1, 2, 2, 8)).astype(np.float32))
+        out, attn = blk(x)
         assert out.shape == (1, 2, 2, 8)
         assert attn.shape == (1, 2, 4, 4)
+        assert blk.rel_bias.shape == (7 * 7, 2)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_WINDOWS))
+    def test_stage_windows_match_per_block_clamp(self, name):
+        """Every block's (grid, window, shift), from the config and as
+        built, is the table's."""
+        cfg = SWIN_CONFIGS[name]
+        stages = cfg.stage_windows()
+        blocks = iter(build_model(cfg, seed=0).stages)
+        got = []
+        for s, depth in enumerate(cfg.stage_depths):
+            grid, window, shift = stages[s]
+            for b in range(depth):
+                blk = next(blocks)
+                want = (window, shift if b % 2 else (0,) * len(grid))
+                assert (blk.window, blk.shift) == want
+                got.append((grid,) + want)
+        assert got == BLOCK_WINDOWS[name]
+
+    @pytest.mark.parametrize("name", ["swin3d", "swin3d_padded"])
+    def test_forward_builds_no_geometry(self, name, monkeypatch):
+        """Shift masks, bias indices and centroids are built with the
+        model: neither a training nor a frozen forward rebuilds them."""
+        cfg = SWIN_CONFIGS[name]
+        model = build_model(cfg, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forward rebuilt fixed geometry")
+
+        monkeypatch.setattr(nn, "shift_window_mask", refuse)
+        monkeypatch.setattr(nn, "relative_position_index", refuse)
+        monkeypatch.setattr(models, "merge_centroids", refuse)
+        x = _rng(1).normal(size=(2, 1) + cfg.input_shape).astype(np.float32)
+        model.forward(Tensor(x), training=True, rng=_rng(2))
+        with model.frozen():
+            result = model.forward(Tensor(x[:1]))
+        assert len(result.attention) == sum(cfg.stage_depths)
 
 
 class TestPatchEmbed:
